@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data as data_mod
-from .data import DataSpec, Family, make_data, membership
-from .flows import FlowConfig, flow, near_identity_report, q_of_u, u_of_q
+from .data import DataSpec, make_data
+from .flows import FlowConfig, near_identity_report, q_of_u
 from .hamiltonians import (F1, F2, H3, LAMBDA2, QUARTIC_RESONANT, eval_hamiltonian,
                            fd_gradient, gradient, poisson_bracket)
 from .solver import (SolverConfig, envelope_evolve, evolve, kdv_step,
                      stability_budget)
-from .spectral import (ModeLattice, SpectralSequence, l2s_norm, linear_phase,
-                       sequence_from_modes)
+from .spectral import ModeLattice, SpectralSequence, l2s_norm, linear_phase
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -88,6 +86,10 @@ class ScanConfig:
             raise ValueError("epsilon_grid must span at least one octave")
         if not 0.0 < self.horizon_exponent < 0.5:
             raise ValueError("horizon_exponent must lie in (0, 0.5)")
+        # every grid point yields valid data if both ends do: the largest
+        # epsilon must be <= 0.25 and the smallest has the highest carrier
+        for eps in (grid[0], grid[-1]):
+            _data_spec_for(self, eps)
 
 
 def config_from_dict(doc: dict) -> ScanConfig:

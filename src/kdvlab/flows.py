@@ -8,7 +8,7 @@ u = Phi_{F1} o Phi_{F2}(q) and its inverse (negative-time integration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

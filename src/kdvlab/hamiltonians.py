@@ -8,12 +8,22 @@ Poisson bracket, the literal multilinear maps f1/f2, and resonance predicates.
 All square roots are taken of absolute values.  Sums run over zero-sum index
 tuples of nonzero modes; quartic terms with vanishing cube-sum denominator are
 skipped by exact integer test.
+
+Degree-4 gradients and values contract one quartic table per support: the
+nonzero coefficients c(k1, k2, k3, -m) over the ordered triples of active
+modes with 0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3) and
+of m.  The gradient is an np.bincount of the terms over m, the value the same
+terms weighted by q(-m).  Tables live in an LRU cache of 8 keyed on
+(spec, n_max, support), so a flow, which revisits one support on almost every
+RK4 stage, evaluates coefficients only when a support is first seen.  A
+support of more than 64 modes (2^18 ordered triples, the entry budget) is
+contracted block by block and not cached; a cached table takes at most 8 MiB.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -197,6 +207,79 @@ def resonance_witness(ns: Sequence[int]) -> ResonanceWitness:
 
 
 # ---------------------------------------------------------------------------
+# quartic table: the degree-4 terms over a support, built once and cached
+# ---------------------------------------------------------------------------
+
+_TABLE_CACHE_SIZE = 8
+# most ordered triples S^3 of a cached support; an entry takes 32 bytes
+_TABLE_ENTRY_BUDGET = 1 << 18
+# candidate triples per build block: temporaries near one S x S per-k1 slice
+_BLOCK_TRIPLES = 1 << 12
+
+
+def _quartic_blocks(spec: HamiltonianSpec, n_max: int, support: np.ndarray):
+    """Nonzero quartic terms over the ordered support triples, in k1 blocks.
+
+    support holds the lattice indices of the active modes.  Each block is
+    (coef, i1, p, m): the coefficient spec.coefficient(k1, k2, k3, -(k1+k2+k3))
+    of the triple k1 = mode of support[i1], (k2, k3) = pair p of support x
+    support (row-major), and the lattice index m of k1 + k2 + k3, kept when
+    0 < |k1 + k2 + k3| <= n_max.  Terms come in (k1, k2, k3) order, the order
+    of a per-k1 loop; zero coefficients are dropped.
+    """
+    k = support - n_max
+    s = k.size
+    pair_sum = (k[:, None] + k[None, :]).ravel()
+    step = max(1, _BLOCK_TRIPLES // (s * s))
+    for start in range(0, s, step):
+        rows = np.arange(start, min(start + step, s))
+        m = k[rows, None] + pair_sum[None, :]
+        r, p = np.nonzero((np.abs(m) <= n_max) & (m != 0))
+        i1 = rows[r]
+        m = m[r, p]
+        coef = spec.coefficient(k[i1], k[p // s], k[p % s], -m)
+        keep = coef != 0
+        yield coef[keep], i1[keep], p[keep], m[keep] + n_max
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _quartic_table(spec: HamiltonianSpec, n_max: int, support_key: bytes) -> tuple:
+    """All blocks of _quartic_blocks joined into read-only flat arrays.
+
+    Keyed on the spec, the lattice size and the support's index bytes, so one
+    support on two lattices, or two supports of equal size, never share a
+    table.
+    """
+    support = np.frombuffer(support_key, dtype=np.intp)
+    blocks = list(zip(*_quartic_blocks(spec, n_max, support)))
+    table = tuple(np.concatenate(parts) for parts in blocks)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _quartic_terms(spec: HamiltonianSpec, lat: ModeLattice, vals: np.ndarray):
+    """Yield (w, m) per table block: the term w = coef q(k1) q(k2) q(k3) of each
+    table entry and the lattice index m of its output mode k1 + k2 + k3.
+
+    The gradient of a quartic spec at mode m is 4 times the sum of the terms
+    with that output; its value is the sum of the terms weighted by q(-m).
+    """
+    support = np.flatnonzero(vals)
+    s = support.size
+    if s == 0:
+        return
+    if s**3 <= _TABLE_ENTRY_BUDGET:
+        blocks = [_quartic_table(spec, lat.n_max, support.tobytes())]
+    else:
+        blocks = _quartic_blocks(spec, lat.n_max, support)
+    qs = vals[support]
+    q23 = np.multiply.outer(qs, qs).ravel()
+    for coef, i1, p, m in blocks:
+        yield coef * qs[i1] * q23[p], m
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -223,18 +306,9 @@ def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
         c = spec.coefficient(n1, n2, n3)
         return complex(np.sum(np.where(mask, c, 0.0) * qs[:, None] * qs[None, :] * q3))
 
-    # degree 4: loop over the first slot to cap memory
-    total = 0.0 + 0.0j
-    n2 = sup[:, None]
-    n3 = sup[None, :]
-    q23 = qs[:, None] * qs[None, :]
-    for k1, q1 in zip(sup, qs):
-        n4 = -(k1 + n2 + n3)
-        mask = (np.abs(n4) <= lat.n_max) & (n4 != 0)
-        q4 = np.where(mask, vals[np.clip(n4 + lat.n_max, 0, lat.size - 1)], 0.0)
-        c = spec.coefficient(np.int64(k1), n2, n3, n4)
-        total += q1 * complex(np.sum(np.where(mask, c, 0.0) * q23 * q4))
-    return total
+    # degree 4: the quartic table's terms, each weighted by q(-m)
+    reflected = vals[::-1]
+    return complex(sum(np.sum(w * reflected[m]) for w, m in _quartic_terms(spec, lat, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +349,11 @@ def _gradient_quartic(spec: HamiltonianSpec, lat: ModeLattice, vals: np.ndarray)
     if spec.kind is Kind.QUARTIC_RESONANT:
         # d/dq(-n) of (3/2) i sum_m q(m)^2 q(-m)^2
         return 6j * vals * vals * vals[::-1]
-    sup = lat.modes[vals != 0]
     out = np.zeros(lat.size, dtype=np.complex128)
-    if sup.size == 0:
-        return out
-    qs = vals[sup + lat.n_max]
-    k2 = sup[:, None]
-    k3 = sup[None, :]
-    q23 = qs[:, None] * qs[None, :]
-    for k1, q1 in zip(sup, qs):
-        m = k1 + k2 + k3
-        mask = (np.abs(m) <= lat.n_max) & (m != 0)
-        c = spec.coefficient(np.int64(k1), k2, k3, -m)
-        contrib = 4.0 * np.where(mask, c, 0.0) * q1 * q23
-        np.add.at(out, np.clip(m + lat.n_max, 0, lat.size - 1), np.where(mask, contrib, 0.0))
-    out[lat.n_max] = 0.0
-    return out
+    for w, m in _quartic_terms(spec, lat, vals):
+        out.real += np.bincount(m, w.real, lat.size)
+        out.imag += np.bincount(m, w.imag, lat.size)
+    return 4.0 * out
 
 
 Functional = Union[HamiltonianSpec, Callable[[SpectralSequence], complex]]

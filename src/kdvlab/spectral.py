@@ -165,14 +165,6 @@ def l2s_norm(u: SpectralSequence, s: float) -> float:
     return norm(u, NormSpec(2, s))
 
 
-def weighted_values_norm(values: np.ndarray, modes: np.ndarray, s: float) -> float:
-    """l^2_s norm of a raw coefficient array (internal fast path)."""
-    mask = modes != 0
-    w = np.abs(modes[mask]).astype(np.float64) ** s
-    a = w * np.abs(values[mask])
-    return float(math.sqrt(np.sum(a * a)))
-
-
 def weighted_from_physical(v: GridFunction) -> SpectralSequence:
     """u(n) = vhat(n)/sqrt(|n|) by exact DFT quadrature on the M-point grid."""
     lat = v.lattice

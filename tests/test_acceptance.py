@@ -82,6 +82,7 @@ def test_ac2_gradient_correctness():
     _report("AC2 gradient correctness", ok, detail)
 
 
+@pytest.mark.slow
 def test_ac3_solver_validation():
     kappa, t_end = 4.0, 0.05
 
@@ -138,6 +139,7 @@ def test_ac4_near_identity_scaling():
             detail + f" membership={'all' if members else 'violated'}")
 
 
+@pytest.mark.slow
 def test_ac5_error_term_scaling():
     cfg = _scan_config((0.1, 0.05, 0.025, 0.0125), LAT256, (0.0, 0.5))
     rep = scan_error_term(cfg)

@@ -142,6 +142,7 @@ class TestScans:
         assert all(np.isfinite(row[3]) for row in rep.rows)
         assert 0.5 in rep.constants
 
+    @pytest.mark.slow
     def test_error_term_scan(self):
         rep = scan_error_term(small_config())
         assert rep.columns == ["epsilon", "s", "error_norm", "consistency_order"]
@@ -175,6 +176,14 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         cfg = self._write_config(tmp_path, {"epsilon_grid": [0.1]})
         assert main(["scan-theorem", "--config", cfg]) == 2
+
+    def test_carrier_past_lattice_exit_code(self, tmp_path, capsys):
+        # eps = 0.1 fits N = 64 (carrier 10 <= 32), eps = 0.0125 does not (80)
+        doc = config_doc(epsilon_grid=[0.1, 0.05, 0.025, 0.0125])
+        doc["data"]["lattice"] = {"n_max": 64, "m_samples": 193}
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["scan-transform", "--config", cfg]) == 2
+        assert "lattice too small" in capsys.readouterr().err
 
     def test_residual_exit_code(self, tmp_path):
         doc = config_doc(max_constants={"0.5": 1e-12})

@@ -1,0 +1,159 @@
+"""The cached quartic table against the per-k1 loop it replaced.
+
+The oracle below is the original per-k1 implementation of the degree-4
+gradient and value: for every support mode k1 it evaluates the coefficient on
+the full support x support grid, masks output modes outside 0 < |m| <= n_max
+and scatters with np.add.at.  Errors are measured against the sum of the
+absolute values of the terms, so cancelling sums are not over-weighted.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kdvlab import hamiltonians
+from kdvlab.hamiltonians import (F2, QUARTIC_RESONANT, HamiltonianSpec,
+                                 eval_hamiltonian, gradient)
+from kdvlab.spectral import ModeLattice, SpectralSequence
+
+TOL = 1e-13
+
+
+def loop_gradient(spec, lat, vals):
+    sup = lat.modes[vals != 0]
+    out = np.zeros(lat.size, dtype=np.complex128)
+    if sup.size == 0:
+        return out
+    qs = vals[sup + lat.n_max]
+    k2 = sup[:, None]
+    k3 = sup[None, :]
+    q23 = qs[:, None] * qs[None, :]
+    for k1, q1 in zip(sup, qs):
+        m = k1 + k2 + k3
+        mask = (np.abs(m) <= lat.n_max) & (m != 0)
+        c = spec.coefficient(np.int64(k1), k2, k3, -m)
+        contrib = 4.0 * np.where(mask, c, 0.0) * q1 * q23
+        np.add.at(out, np.clip(m + lat.n_max, 0, lat.size - 1), np.where(mask, contrib, 0.0))
+    out[lat.n_max] = 0.0
+    return out
+
+
+def loop_value(spec, lat, vals):
+    sup = lat.modes[vals != 0]
+    if sup.size == 0:
+        return 0.0 + 0.0j
+    qs = vals[sup + lat.n_max]
+    total = 0.0 + 0.0j
+    n2 = sup[:, None]
+    n3 = sup[None, :]
+    q23 = qs[:, None] * qs[None, :]
+    for k1, q1 in zip(sup, qs):
+        n4 = -(k1 + n2 + n3)
+        mask = (np.abs(n4) <= lat.n_max) & (n4 != 0)
+        q4 = np.where(mask, vals[np.clip(n4 + lat.n_max, 0, lat.size - 1)], 0.0)
+        c = spec.coefficient(np.int64(k1), n2, n3, n4)
+        total += q1 * complex(np.sum(np.where(mask, c, 0.0) * q23 * q4))
+    return total
+
+
+def absolute(spec):
+    """The spec with |coefficient|: the oracle on it and |q| sums |terms|."""
+    return HamiltonianSpec(spec.kind, 4, lambda *n: np.abs(spec.coefficient(*n)))
+
+
+def assert_matches_oracle(spec, q):
+    lat, vals = q.lattice, q.values
+    bound = absolute(spec)
+    if spec is F2:  # the resonant gradient has a closed form of its own
+        scale = np.max(loop_gradient(bound, lat, np.abs(vals)).real)
+        err = np.max(np.abs(gradient(spec, q).values - loop_gradient(spec, lat, vals)))
+        assert err <= TOL * scale
+    scale = loop_value(bound, lat, np.abs(vals)).real
+    assert abs(eval_hamiltonian(spec, q) - loop_value(spec, lat, vals)) <= TOL * scale
+
+
+def state(lat, modes, amplitudes):
+    vals = np.zeros(lat.size, dtype=np.complex128)
+    vals[np.asarray(modes, dtype=int) + lat.n_max] = amplitudes
+    return SpectralSequence(lat, vals, real_type=False)
+
+
+amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                               allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def states(draw, modes_for):
+    """A random complex state on N <= 16 whose support modes_for draws."""
+    n_max = draw(st.integers(1, 16))
+    lat = ModeLattice(n_max, 3 * n_max + 1)
+    modes = draw(modes_for(n_max))
+    amps = draw(st.lists(amplitude, min_size=len(modes), max_size=len(modes)))
+    return state(lat, modes, amps)
+
+
+def random_support(n_max):
+    nonzero = [n for n in range(-n_max, n_max + 1) if n != 0]
+    return st.lists(st.sampled_from(nonzero), min_size=1, max_size=12, unique=True)
+
+
+def sublattice_support(n_max):
+    # {+-N0, +-2 N0, ...} up to n_max
+    return st.integers(1, n_max).map(
+        lambda n0: [s * k for k in range(n0, n_max + 1, n0) for s in (1, -1)])
+
+
+def resonant_support(n_max):
+    # {+-a, +-b}: the pairings (a, -a, b, -b) have vanishing cube sum
+    return st.lists(st.integers(1, n_max), min_size=1, max_size=2, unique=True).map(
+        lambda ab: [s * k for k in ab for s in (1, -1)])
+
+
+def top_support(n_max):
+    # modes in the upper half: most triple sums land past n_max
+    top = [s * k for k in range((n_max + 1) // 2, n_max + 1) for s in (1, -1)]
+    return st.lists(st.sampled_from(top), min_size=1, max_size=8, unique=True)
+
+
+@pytest.mark.parametrize("spec", [F2, QUARTIC_RESONANT], ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("modes_for", [random_support, sublattice_support,
+                                       resonant_support, top_support],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matches_loop_oracle(spec, modes_for, data):
+    assert_matches_oracle(spec, data.draw(states(modes_for)))
+
+
+class TestCache:
+    def test_equal_size_supports_do_not_collide(self):
+        lat = ModeLattice(8, 25)
+        hamiltonians._quartic_table.cache_clear()
+        a = state(lat, [1, -1, 2, -2], [1.0, 0.5j, 0.3, -0.7])
+        b = state(lat, [1, -1, 3, -3], [1.0, 0.5j, 0.3, -0.7])
+        for q in (a, b, a, b):
+            assert_matches_oracle(F2, q)
+        info = hamiltonians._quartic_table.cache_info()
+        assert info.currsize == 2  # one table per support
+        assert info.hits > 0
+
+    def test_one_support_on_two_lattices(self):
+        # on N = 4 the outputs 5 and 6 are cut off, on N = 8 they are kept
+        modes, amps = [2, -2, 3, -3], [1.0, 0.4 - 0.2j, 0.6j, 0.8]
+        small = state(ModeLattice(4, 13), modes, amps)
+        large = state(ModeLattice(8, 25), modes, amps)
+        for q in (small, large, small):
+            assert_matches_oracle(F2, q)
+        assert gradient(F2, large).value_at(6) != 0.0
+
+    def test_support_above_budget_is_not_cached(self):
+        # 66 modes: 66^3 triples exceed the budget of 2^18 = 64^3
+        lat = ModeLattice(33, 100)
+        rng = np.random.default_rng(1)
+        q = state(lat, [n for n in lat.modes if n != 0],
+                  rng.standard_normal(66) + 1j * rng.standard_normal(66))
+        assert 66**3 > hamiltonians._TABLE_ENTRY_BUDGET
+        hamiltonians._quartic_table.cache_clear()
+        assert_matches_oracle(F2, q)
+        assert hamiltonians._quartic_table.cache_info().currsize == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, gradient
 from kdvlab.solver import (SolverConfig, SolverDivergenceError, diagnostics_of,
                            envelope_evolve, evolve, kdv_step, nonlinear_term,
@@ -82,6 +83,16 @@ class TestStepper:
         assert stability_budget(u, LAT) == pytest.approx(24.0, rel=1e-14)
         with pytest.raises(ValueError):
             evolve(u, SolverConfig(dt=0.1, t_final=1.0, lattice=LAT))
+
+    def test_budget_guard_uses_rounded_dt(self):
+        # t_final = 1.4 dt rounds to one step of 1.4 dt: budget 0.45 -> 0.63
+        lat = ModeLattice(64, 193)
+        u = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.1, rho=1.0,
+                               lattice=lat))
+        dt = 0.45 / stability_budget(u, lat)
+        evolve(u, SolverConfig(dt=dt, t_final=dt, lattice=lat))
+        with pytest.raises(ValueError, match="0.630 > 0.5"):
+            evolve(u, SolverConfig(dt=dt, t_final=1.4 * dt, lattice=lat))
 
     def test_evolve_validation(self):
         u = SpectralSequence(LAT, np.zeros(LAT.size, dtype=np.complex128),
