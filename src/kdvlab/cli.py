@@ -93,6 +93,9 @@ def _cmd_simulate(args) -> int:
         return EXIT_BAD_CONFIG
     try:
         _, diags = evolve(u0, solver)
+    except ValueError as exc:  # a dt that breaks the stability budget
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except SolverDivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

@@ -2,8 +2,11 @@
 
 Each scan walks a decreasing epsilon grid, measures a deviation at the horizon
 t = eps^{-beta}, and reports both log-log slopes and uniform-constant ratios
-against the target rate with a fixed exponent haircut (default 0.05).  Scans
-are deterministic per (config, seed) and independent of the worker count.
+against its target rate, most with a fixed exponent haircut (default 0.05).
+A scan is a per-epsilon measure function plus its target exponent p(s); the
+one driver _scan runs the measures, sorts the rows, fits the slopes and takes
+the constants C(s) = max deviation / eps^p(s) for all three.  Scans are
+deterministic per (config, seed) and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -192,14 +195,39 @@ def _run_tasks(tasks, worker, n_workers: int) -> dict:
         return {t: f.result() for t, f in futures.items()}
 
 
+def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanReport:
+    """Run measure over the epsilon grid; fit and bound the deviation per s.
+
+    measure(eps) returns a list of points (s, y, row): row is a report row,
+    whose first entry is the effective epsilon, and y the deviation it fits.
+    Rows are sorted by (epsilon, s).  For each s, in the order measure first
+    returns it, the log-log slope is fitted on the points with y > 0 and the
+    uniform constant is C(s) = max y / epsilon^exponent(s).
+    """
+    results = _run_tasks(cfg.epsilon_grid, measure, cfg.workers)
+    points = [p for eps in cfg.epsilon_grid for p in results[eps]]
+    s_order = dict.fromkeys(s for s, _, _ in points)
+    points.sort(key=lambda p: (p[2][0], p[0]))
+    report = ScanReport(kind=kind, columns=columns, rows=[row for _, _, row in points])
+    for s in s_order:
+        pts = [(row[0], y) for s_p, y, row in points if s_p == s]
+        positive = [(e, y) for e, y in pts if y > 0]
+        if len(positive) >= 2:
+            report.fits[s] = slope_fit(positive)
+        report.constants[s] = max(y / e ** exponent(s) for e, y in pts)
+    return report
+
+
 def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
     """Deviation from the free Airy flow at t = eps^{-beta} per (eps, s).
 
     The v-side column is sqrt(2 pi) times the s = 1/2 deviation, which equals
-    the physical L^2 distance from the linear solution.
+    the physical L^2 distance from the linear solution.  The fitted deviation
+    is the l^2_s one over <t>, against the rate eps^{1/2 - haircut}.
     """
+    monitor = {}
 
-    def task(eps: float):
+    def measure(eps: float):
         spec = _data_spec_for(cfg, eps)
         u0 = make_data(spec)
         eps_eff = spec.effective_epsilon
@@ -212,66 +240,36 @@ def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
         free = linear_phase(u0, t)
         diff = SpectralSequence(u0.lattice, u_t.values - free.values, real_type=False)
         devs = {s: l2s_norm(diff, s) for s in set(cfg.s_values) | {0.5}}
-        monitor = max(h * eps_eff / cfg.rho for h in diags.h1_weighted)
-        return eps_eff, t, devs, monitor
-
-    results = _run_tasks(cfg.epsilon_grid, task, cfg.workers)
-    rows, monitor = [], {}
-    for eps in cfg.epsilon_grid:
-        eps_eff, t, devs, mon = results[eps]
-        monitor[eps_eff] = mon
+        monitor[eps] = eps_eff, max(h * eps_eff / cfg.rho for h in diags.h1_weighted)
         bracket = math.sqrt(1.0 + t * t)
-        for s in cfg.s_values:
-            rows.append((eps_eff, t, s, devs[s], bracket, SQRT_TWO_PI * devs[0.5]))
-    rows.sort(key=lambda r: (r[0], r[2], r[1]))
-    report = ScanReport(
-        kind="linear_proximity",
-        columns=["epsilon", "t", "s", "deviation", "bracket_t", "v_deviation"],
-        rows=rows,
-        extras={"h32_monitor_max_ratio": monitor, "horizon_exponent": cfg.horizon_exponent},
-    )
-    gamma = 0.5 - cfg.haircut
-    for s in cfg.s_values:
-        pts = [(r[0], r[3] / r[4]) for r in rows if r[2] == s and r[3] > 0]
-        if len(pts) >= 2:
-            report.fits[s] = slope_fit(pts)
-        report.constants[s] = max(
-            (r[3] / (r[4] * r[0] ** gamma)) for r in rows if r[2] == s
-        )
+        return [(s, devs[s] / bracket,
+                 (eps_eff, t, s, devs[s], bracket, SQRT_TWO_PI * devs[0.5]))
+                for s in cfg.s_values]
+
+    report = _scan(cfg, "linear_proximity",
+                   ["epsilon", "t", "s", "deviation", "bracket_t", "v_deviation"],
+                   measure, lambda s: 0.5 - cfg.haircut)
+    report.extras = {
+        "h32_monitor_max_ratio": dict(monitor[eps] for eps in cfg.epsilon_grid),
+        "horizon_exponent": cfg.horizon_exponent,
+    }
     return report
 
 
 def scan_near_identity(cfg: ScanConfig) -> ScanReport:
-    """Near-identity deviation of the composed transformation per (eps, s)."""
+    """Near-identity deviation of the composed transformation per (eps, s),
+    against the rate eps^{1 - s - haircut}."""
 
-    def task(eps: float):
+    def measure(eps: float):
         spec = _data_spec_for(cfg, eps)
         q = make_data(spec)
         eps_eff = spec.effective_epsilon
         rep = near_identity_report(q, eps_eff, cfg.rho, cfg.flow)
-        return eps_eff, rep
+        return [(s, dev, (eps_eff, s, dev, rep.membership_after))
+                for s, dev in sorted(rep.deviations.items())]
 
-    results = _run_tasks(cfg.epsilon_grid, task, cfg.workers)
-    rows = []
-    for eps in cfg.epsilon_grid:
-        eps_eff, rep = results[eps]
-        for s, dev in sorted(rep.deviations.items()):
-            rows.append((eps_eff, s, dev, rep.membership_after))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    report = ScanReport(
-        kind="near_identity",
-        columns=["epsilon", "s", "deviation", "membership_after"],
-        rows=rows,
-    )
-    s_all = sorted({r[1] for r in rows})
-    for s in s_all:
-        pts = [(r[0], r[2]) for r in rows if r[1] == s and r[2] > 0]
-        if len(pts) >= 2:
-            report.fits[s] = slope_fit(pts)
-        report.constants[s] = max(
-            r[2] / r[0] ** (1.0 - s - cfg.haircut) for r in rows if r[1] == s
-        )
-    return report
+    return _scan(cfg, "near_identity", ["epsilon", "s", "deviation", "membership_after"],
+                 measure, lambda s: 1.0 - s - cfg.haircut)
 
 
 def scan_error_term(cfg: ScanConfig) -> ScanReport:
@@ -283,10 +281,11 @@ def scan_error_term(cfg: ScanConfig) -> ScanReport:
     carrier N0: the residual field is carried by modes up to about twice the
     carrier, and this window keeps the h^2 truncation above the roundoff floor
     while staying below the higher-order regime (verified by the Richardson
-    order check under step halving, which should report ~2).
+    order check under step halving, which should report ~2).  The target rate
+    is eps^{0.9 (1 - s)}: 0.9 at s = 0, 0.45 at s = 1/2.
     """
 
-    def task(eps: float):
+    def measure(eps: float):
         spec = _data_spec_for(cfg, eps)
         u0 = make_data(spec)
         eps_eff = spec.effective_epsilon
@@ -303,38 +302,19 @@ def scan_error_term(cfg: ScanConfig) -> ScanReport:
             return (np.exp(-1j * n3 * h) * qp - np.exp(1j * n3 * h) * qm) / (2.0 * h)
 
         fields = {h: error_field(h) for h in (dt_fd, dt_fd / 2, dt_fd / 4)}
-        out = {}
+        points = []
         for s in cfg.s_values:
             def ns(v):
                 return l2s_norm(SpectralSequence(lat, v, real_type=False), s)
             coarse = ns(fields[dt_fd] - fields[dt_fd / 2])
             fine = ns(fields[dt_fd / 2] - fields[dt_fd / 4])
             order = math.log2(coarse / fine) if fine > 0 and coarse > 0 else float("nan")
-            out[s] = (ns(fields[dt_fd / 4]), order)
-        return eps_eff, out
+            enorm = ns(fields[dt_fd / 4])
+            points.append((s, enorm, (eps_eff, s, enorm, order)))
+        return points
 
-    results = _run_tasks(cfg.epsilon_grid, task, cfg.workers)
-    rows = []
-    for eps in cfg.epsilon_grid:
-        eps_eff, out = results[eps]
-        for s in cfg.s_values:
-            enorm, order = out[s]
-            rows.append((eps_eff, s, enorm, order))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    report = ScanReport(
-        kind="error_term",
-        columns=["epsilon", "s", "error_norm", "consistency_order"],
-        rows=rows,
-    )
-    for s in cfg.s_values:
-        pts = [(r[0], r[2]) for r in rows if r[1] == s and r[2] > 0]
-        if len(pts) >= 2:
-            report.fits[s] = slope_fit(pts)
-        # target exponent 0.9 (1 - s): 0.9 at s = 0, 0.45 at s = 1/2
-        report.constants[s] = max(
-            r[2] / r[0] ** (0.9 * (1.0 - s)) for r in rows if r[1] == s
-        )
-    return report
+    return _scan(cfg, "error_term", ["epsilon", "s", "error_norm", "consistency_order"],
+                 measure, lambda s: 0.9 * (1.0 - s))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,10 @@ class FlowConfig:
     """Fixed-step classical RK4 on tau in [0, tau_end]."""
 
     substeps: int = 32
-    order: int = 4
 
     def __post_init__(self) -> None:
         if self.substeps < 8:
             raise ValueError(f"substeps must be >= 8, got {self.substeps}")
-        if self.order != 4:
-            raise ValueError("only the classical order-4 integrator is implemented")
 
 
 @dataclass(frozen=True)

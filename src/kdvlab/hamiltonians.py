@@ -9,11 +9,15 @@ All square roots are taken of absolute values.  Sums run over zero-sum index
 tuples of nonzero modes; quartic terms with vanishing cube-sum denominator are
 skipped by exact integer test.
 
-Degree-4 gradients and values contract one quartic table per support: the
-nonzero coefficients c(k1, k2, k3, -m) over the ordered triples of active
-modes with 0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3) and
-of m.  The gradient is an np.bincount of the terms over m, the value the same
-terms weighted by q(-m).  Tables live in an LRU cache of 8 keyed on
+One kernel per degree.  Every quadratic term (grad H3, grad F1, f1_apply and
+the solver's N(u) = sigma grad H3) is one spectral product, _product, the
+only convolution in the package.  Every quartic term (grad F2, the degree-4
+values and f2_apply) contracts one quartic table per support: the nonzero
+coefficients c(k1, k2, k3, -m) over the ordered triples of active modes with
+0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3) and of m.  A
+gradient or f2_apply is an np.bincount of the terms over m (f2_apply takes
+its three arguments on their union support), a value the same terms
+weighted by q(-m).  Tables live in an LRU cache of 8 keyed on
 (spec, n_max, support), so a flow, which revisits one support on almost every
 RK4 stage, evaluates coefficients only when a support is first seen.  A
 support of more than 64 modes (2^18 ordered triples, the entry budget) is
@@ -100,6 +104,12 @@ def _f2_sym_kernel(a, b, c, d) -> np.ndarray:
     ) / 6.0
 
 
+def _f2_trilinear_kernel(n1, n2, n3, n) -> np.ndarray:
+    """f2_apply's two-term kernel 2 [raw(n, n1 | n2, n3) + raw(n1, n2 | n3, n)]:
+    (2/3) times the overall 3 of the displayed map."""
+    return 2.0 * (_f2_raw(n, n1, n2, n3) + _f2_raw(n1, n2, n3, n))
+
+
 def _lambda2_kernel(n1, n2) -> np.ndarray:
     n1 = np.asarray(n1, dtype=np.int64)
     n2 = np.asarray(n2, dtype=np.int64)
@@ -149,6 +159,8 @@ H3 = HamiltonianSpec(Kind.H3, 3, _h3_kernel)
 F1 = HamiltonianSpec(Kind.F1, 3, _f1_kernel)
 F2 = HamiltonianSpec(Kind.F2, 4, _f2_sym_kernel)
 QUARTIC_RESONANT = HamiltonianSpec(Kind.QUARTIC_RESONANT, 4, _quartic_kernel)
+# the coefficient of f2_apply, contracted on the quartic table like F2
+_F2_TRILINEAR = HamiltonianSpec(Kind.F2, 4, _f2_trilinear_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +270,35 @@ def _quartic_table(spec: HamiltonianSpec, n_max: int, support_key: bytes) -> tup
     return table
 
 
-def _quartic_terms(spec: HamiltonianSpec, lat: ModeLattice, vals: np.ndarray):
-    """Yield (w, m) per table block: the term w = coef q(k1) q(k2) q(k3) of each
-    table entry and the lattice index m of its output mode k1 + k2 + k3.
+def _quartic_terms(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
+                   q1: np.ndarray, q2: np.ndarray, q3: np.ndarray):
+    """Yield (w, m) per table block of support (lattice indices): the term
+    w = coef q1(k1) q2(k2) q3(k3) of each table entry, for q1, q2, q3 given on
+    the support, and the lattice index m of its output mode k1 + k2 + k3.
 
-    The gradient of a quartic spec at mode m is 4 times the sum of the terms
-    with that output; its value is the sum of the terms weighted by q(-m).
+    With q1 = q2 = q3 = q, the gradient of a quartic spec at mode m is 4 times
+    the sum of the terms with that output, and its value is the sum of the
+    terms weighted by q(-m).
     """
-    support = np.flatnonzero(vals)
-    s = support.size
-    if s == 0:
+    if support.size == 0:
         return
-    if s**3 <= _TABLE_ENTRY_BUDGET:
-        blocks = [_quartic_table(spec, lat.n_max, support.tobytes())]
+    if support.size**3 <= _TABLE_ENTRY_BUDGET:
+        blocks = [_quartic_table(spec, n_max, support.tobytes())]
     else:
-        blocks = _quartic_blocks(spec, lat.n_max, support)
-    qs = vals[support]
-    q23 = np.multiply.outer(qs, qs).ravel()
+        blocks = _quartic_blocks(spec, n_max, support)
+    q23 = np.multiply.outer(q2, q3).ravel()
     for coef, i1, p, m in blocks:
-        yield coef * qs[i1] * q23[p], m
+        yield coef * q1[i1] * q23[p], m
+
+
+def _quartic_sum(spec: HamiltonianSpec, lat: ModeLattice, support: np.ndarray,
+                 *qs: np.ndarray) -> np.ndarray:
+    """The quartic contraction: the terms of _quartic_terms summed per output mode."""
+    out = np.zeros(lat.size, dtype=np.complex128)
+    for w, m in _quartic_terms(spec, lat.n_max, support, *qs):
+        out.real += np.bincount(m, w.real, lat.size)
+        out.imag += np.bincount(m, w.imag, lat.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +329,30 @@ def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
         return complex(np.sum(np.where(mask, c, 0.0) * qs[:, None] * qs[None, :] * q3))
 
     # degree 4: the quartic table's terms, each weighted by q(-m)
+    support = np.flatnonzero(vals)
+    qs = vals[support]
     reflected = vals[::-1]
-    return complex(sum(np.sum(w * reflected[m]) for w, m in _quartic_terms(spec, lat, vals)))
+    terms = _quartic_terms(spec, lat.n_max, support, qs, qs, qs)
+    return complex(sum(np.sum(w * reflected[m]) for w, m in terms))
 
 
 # ---------------------------------------------------------------------------
 # gradients:  gradient(spec, q)(n) = d(spec)/dq(-n)
 # ---------------------------------------------------------------------------
 
-def _conv_center(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
-    """Central [-N, N] slice of the full linear convolution of two lattice arrays."""
+def _product(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
+    """The quadratic spectral product sum_{n1+n2=n} a(n1) b(n2) on |n| <= N:
+    the central slice of the full linear convolution, exact and alias-free."""
     return np.convolve(a, b)[n_max: 3 * n_max + 1]
+
+
+def _h3_gradient_values(vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
+    """grad H3 on raw lattice values: 3 i sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| q(n1) q(n2)."""
+    root = np.sqrt(np.abs(lat.modes).astype(np.float64))
+    w = root * vals
+    out = 3j * root * _product(w, w, lat.n_max)
+    out[lat.n_max] = 0.0
+    return out
 
 
 def gradient(spec: HamiltonianSpec, q: SpectralSequence) -> SpectralSequence:
@@ -330,14 +365,12 @@ def gradient(spec: HamiltonianSpec, q: SpectralSequence) -> SpectralSequence:
     if spec.kind is Kind.LAMBDA2:
         out = 1j * absn**3 * vals
     elif spec.kind is Kind.H3:
-        w = np.sqrt(absn) * vals
-        out = 3j * np.sqrt(absn) * _conv_center(w, w, lat.n_max)
-        out[lat.n_max] = 0.0
+        out = _h3_gradient_values(vals, lat)
     elif spec.kind is Kind.F1:
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(n != 0, _sgn(n) * vals / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
             inv = np.where(n != 0, _sgn(n) / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
-        out = -inv * _conv_center(z, z, lat.n_max)
+        out = -inv * _product(z, z, lat.n_max)
     elif spec.degree == 4:
         out = _gradient_quartic(spec, lat, vals)
     else:
@@ -349,11 +382,9 @@ def _gradient_quartic(spec: HamiltonianSpec, lat: ModeLattice, vals: np.ndarray)
     if spec.kind is Kind.QUARTIC_RESONANT:
         # d/dq(-n) of (3/2) i sum_m q(m)^2 q(-m)^2
         return 6j * vals * vals * vals[::-1]
-    out = np.zeros(lat.size, dtype=np.complex128)
-    for w, m in _quartic_terms(spec, lat, vals):
-        out.real += np.bincount(m, w.real, lat.size)
-        out.imag += np.bincount(m, w.imag, lat.size)
-    return 4.0 * out
+    support = np.flatnonzero(vals)
+    qs = vals[support]
+    return 4.0 * _quartic_sum(spec, lat, support, qs, qs, qs)
 
 
 Functional = Union[HamiltonianSpec, Callable[[SpectralSequence], complex]]
@@ -418,7 +449,7 @@ def f1_apply(q1: SpectralSequence, q2: SpectralSequence) -> SpectralSequence:
     safe = np.where(n == 0, 1.0, absn)
     z1 = _sgn(n) * q1.values / np.sqrt(safe)
     z2 = _sgn(n) * q2.values / np.sqrt(safe)
-    conv = _conv_center(z1, z2, lat.n_max)
+    conv = _product(z1, z2, lat.n_max)
     out = _sgn(n) / np.sqrt(safe) * conv[::-1]
     out[lat.n_max] = 0.0
     return SpectralSequence(lat, out, real_type=False)
@@ -431,28 +462,12 @@ def f2_apply(q1: SpectralSequence, q2: SpectralSequence, q3: SpectralSequence) -
         [sqrt|n n1/(n2 n3)| sigma(n2 n3) + sqrt|n1 n2/(n3 n)| sigma(n3 n)]
         / (n^3+n1^3+n2^3+n3^3) * q1(n1) q2(n2) q3(n3),
 
-    with vanishing-denominator tuples skipped.
+    with vanishing-denominator tuples skipped.  The terms come from the
+    quartic table of the union support of the arguments, which indexes them
+    by k1 + k2 + k3 = -n.
     """
     lat = q1.lattice
-    out = np.zeros(lat.size, dtype=np.complex128)
-    sups = []
-    for q in (q1, q2, q3):
-        s = lat.modes[q.values != 0]
-        if s.size == 0:
-            return SpectralSequence(lat, out, real_type=False)
-        sups.append(s)
-    s1, s2, s3 = sups
-    v2 = q2.values[s2 + lat.n_max][:, None]
-    v3 = q3.values[s3 + lat.n_max][None, :]
-    n2 = s2[:, None]
-    n3 = s3[None, :]
-    for k1 in s1:
-        a1 = q1.values[lat.index(k1)]
-        m = -(k1 + n2 + n3)  # output mode n
-        mask = (np.abs(m) <= lat.n_max) & (m != 0)
-        # kernel = (2/3)[raw(n,n1|n2,n3) + raw(n1,n2|n3,n)], times overall 3
-        kern = 2.0 * (_f2_raw(m, np.int64(k1), n2, n3) + _f2_raw(np.int64(k1), n2, n3, m))
-        contrib = np.where(mask, kern, 0.0) * a1 * v2 * v3
-        np.add.at(out, np.clip(m + lat.n_max, 0, lat.size - 1), np.where(mask, contrib, 0.0))
-    out[lat.n_max] = 0.0
-    return SpectralSequence(lat, out, real_type=False)
+    args = (q1.values, q2.values, q3.values)
+    support = np.flatnonzero(np.any(args, axis=0))
+    out = _quartic_sum(_F2_TRILINEAR, lat, support, *(v[support] for v in args))
+    return SpectralSequence(lat, out[::-1], real_type=False)

@@ -6,8 +6,10 @@ stepped with ETDRK4 (Cox-Matthews) whose linear part is exact.  The phi
 functions of the diagonal (purely imaginary) linear symbol are evaluated
 directly, with a Taylor branch near zero to avoid cancellation.  Plain
 integrating-factor RK4 suffers resonance instabilities at high carrier modes;
-ETDRK4 does not.  The nonlinear term is a direct truncated convolution:
-exact and alias-free.
+ETDRK4 does not.  The nonlinear term is N(u) = sigma(n) grad H3(u)(n), taken
+from hamiltonians on raw arrays, so it shares the one quadratic spectral
+product (a truncated convolution: exact and alias-free) with grad H3, grad F1
+and f1_apply.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import H3, LAMBDA2, eval_hamiltonian
+from .hamiltonians import H3, LAMBDA2, _h3_gradient_values, eval_hamiltonian
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        l2s_norm, norm)
 
@@ -67,13 +69,8 @@ def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
 
 
 def _nonlinear_values(values: np.ndarray, lat: ModeLattice) -> np.ndarray:
-    n = lat.modes
-    root = np.sqrt(np.abs(n).astype(np.float64))
-    w = root * values
-    conv = np.convolve(w, w)[lat.n_max: 3 * lat.n_max + 1]
-    out = 3j * np.sign(n) * root * conv
-    out[lat.n_max] = 0.0
-    return out
+    # N(u) = sigma(n) grad H3(u)(n): the flow of H3 in the canonical bracket
+    return np.sign(lat.modes) * _h3_gradient_values(values, lat)
 
 
 def _phi123(z: np.ndarray) -> tuple:
@@ -194,14 +191,20 @@ def _record(diags: Diagnostics, t: float, u: SpectralSequence) -> None:
 
 
 def _closure_modes(support: np.ndarray, n_max: int) -> np.ndarray:
-    """Smallest mode set containing support and closed under pairwise sums."""
-    modes = {int(n) for n in support}
+    """Smallest mode set containing support and closed under pairwise sums.
+
+    The set is a mask over the lattice, so the modes come out sorted without
+    a sort (NumPy's sort routines add about 1 MB to a process's peak RSS).
+    """
+    inside = np.zeros(2 * n_max + 1, dtype=bool)
+    inside[np.asarray(support, dtype=np.int64) + n_max] = True
     while True:
-        new = {a + b for a in modes for b in modes
-               if a + b != 0 and abs(a + b) <= n_max} - modes
-        if not new:
-            return np.array(sorted(modes), dtype=np.int64)
-        modes |= new
+        modes = np.flatnonzero(inside) - n_max
+        sums = np.add.outer(modes, modes).ravel()
+        sums = sums[(sums != 0) & (np.abs(sums) <= n_max)] + n_max
+        if inside[sums].all():
+            return modes
+        inside[sums] = True
 
 
 def _osc_integral(omega: np.ndarray, h: float) -> np.ndarray:
@@ -232,7 +235,6 @@ class _EnvelopeStepper:
         self.h = h
         size = modes.size
         self.size = size
-        index = {int(n): i for i, n in enumerate(modes)}
         n1 = modes[:, None]
         n2 = modes[None, :]
         nsum = n1 + n2
@@ -243,10 +245,8 @@ class _EnvelopeStepper:
         )
         self.delta1 = np.where(valid, (-3 * prod).astype(np.float64), 0.0)
         self.w1 = ctil * _osc_integral(self.delta1, h)
-        self.idx1 = np.array(
-            [[index[int(v)] if ok else 0 for v, ok in zip(row, okrow)]
-             for row, okrow in zip(nsum, valid)], dtype=np.intp
-        )
+        # modes is sorted and sum-closed, so every valid sum has an index
+        self.idx1 = np.where(valid, np.searchsorted(modes, nsum), 0)
         self.valid1 = valid
         # double-phase tables: for each fixed third mode n2 = modes[j], the
         # inner pair (m1, m2) forms n1 = m1 + m2 and the output n = n1 + n2.
@@ -273,10 +273,7 @@ class _EnvelopeStepper:
             )
             weight = np.where(ok, 2.0 * c_out * ctil * joint, 0.0)
             dtotal = np.where(ok, d_out + dprime, 0.0)
-            oidx = np.array(
-                [[index[int(v)] if o else 0 for v, o in zip(row, okrow)]
-                 for row, okrow in zip(n_out, ok)], dtype=np.intp
-            )
+            oidx = np.where(ok, np.searchsorted(modes, n_out), 0)
             self.second.append((weight, dtotal, oidx, ok))
 
     def step(self, a: np.ndarray, t0: float) -> np.ndarray:
@@ -335,13 +332,16 @@ def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
         return trajectory, diags
     h = t_final / steps
     stepper = _EnvelopeStepper(modes, lat.n_max, h)
-    a = np.array([u0.value_at(int(n)) for n in modes], dtype=np.complex128)
+    index = modes + lat.n_max
+    a = u0.values[index]
 
     def assemble(a_now: np.ndarray, t: float) -> SpectralSequence:
         vals = np.zeros(lat.size, dtype=np.complex128)
         phases = np.exp(1j * modes.astype(np.float64) ** 3 * t)
-        for i, n in enumerate(modes):
-            vals[lat.index(int(n))] = a_now[i] * phases[i]
+        # the complex product written out as the scalar product rounds it:
+        # NumPy's vector complex multiply may fuse the multiply-adds
+        vals.real[index] = a_now.real * phases.real - a_now.imag * phases.imag
+        vals.imag[index] = a_now.real * phases.imag + a_now.imag * phases.real
         return SpectralSequence(lat, vals, real_type=True)
 
     for step in range(1, steps + 1):

@@ -201,6 +201,13 @@ class TestCli:
         assert lines[0] == "time,P,K,H,h1_weighted"
         assert len(lines) >= 2
 
+    def test_simulate_unstable_dt_exit_code(self, tmp_path, capsys):
+        doc = config_doc()
+        doc["solver"]["dt"] = 0.5
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "stability budget violated" in capsys.readouterr().err
+
     def test_fit_subcommand(self, tmp_path, capsys):
         src = tmp_path / "points.csv"
         src.write_text("x,y\n0.1,0.01\n0.2,0.04\n0.4,0.16\n")

@@ -33,7 +33,7 @@ class TestFlowBasics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(substeps=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # unknown fields are rejected
             FlowConfig(order=2)
 
     def test_zero_time_is_identity(self):

@@ -1,11 +1,15 @@
-"""The cached quartic table against the per-k1 loop it replaced.
+"""The shared kernels against the loops they replaced.
 
-The oracle below is the original per-k1 implementation of the degree-4
-gradient and value: for every support mode k1 it evaluates the coefficient on
-the full support x support grid, masks output modes outside 0 < |m| <= n_max
-and scatters with np.add.at.  Errors are measured against the sum of the
-absolute values of the terms, so cancelling sums are not over-weighted.
+The oracles below are the original per-k1 implementations of the degree-4
+gradient, value and f2_apply: for every support mode k1 they evaluate the
+coefficient on the full support x support grid, mask output modes outside
+0 < |m| <= n_max and scatter with np.add.at.  f1_apply is checked against a
+literal double sum and the envelope closure against its set-based fixed
+point.  Errors are measured against the sum of the absolute values of the
+terms, so cancelling sums are not over-weighted.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import hamiltonians
-from kdvlab.hamiltonians import (F2, QUARTIC_RESONANT, HamiltonianSpec,
-                                 eval_hamiltonian, gradient)
+from kdvlab.hamiltonians import (F2, QUARTIC_RESONANT, HamiltonianSpec, _f2_raw,
+                                 eval_hamiltonian, f1_apply, f2_apply, gradient)
+from kdvlab.solver import _closure_modes
 from kdvlab.spectral import ModeLattice, SpectralSequence
 
 TOL = 1e-13
@@ -55,6 +60,54 @@ def loop_value(spec, lat, vals):
         c = spec.coefficient(np.int64(k1), n2, n3, n4)
         total += q1 * complex(np.sum(np.where(mask, c, 0.0) * q23 * q4))
     return total
+
+
+def loop_f2_apply(lat, v1, v2, v3, magnitude=False):
+    """f2_apply(q1, q2, q3) as a per-k1 loop; |kernel| and |q| if magnitude."""
+    if magnitude:
+        v1, v2, v3 = np.abs(v1), np.abs(v2), np.abs(v3)
+    out = np.zeros(lat.size, dtype=np.complex128)
+    s1, s2, s3 = (lat.modes[v != 0] for v in (v1, v2, v3))
+    if 0 in (s1.size, s2.size, s3.size):
+        return out
+    a2 = v2[s2 + lat.n_max][:, None]
+    a3 = v3[s3 + lat.n_max][None, :]
+    n2 = s2[:, None]
+    n3 = s3[None, :]
+    for k1 in s1:
+        m = -(k1 + n2 + n3)  # output mode n
+        mask = (np.abs(m) <= lat.n_max) & (m != 0)
+        kern = 2.0 * (_f2_raw(m, np.int64(k1), n2, n3) + _f2_raw(np.int64(k1), n2, n3, m))
+        if magnitude:
+            kern = np.abs(kern)
+        contrib = np.where(mask, kern, 0.0) * v1[k1 + lat.n_max] * a2 * a3
+        np.add.at(out, np.clip(m + lat.n_max, 0, lat.size - 1), np.where(mask, contrib, 0.0))
+    out[lat.n_max] = 0.0
+    return out
+
+
+def sum_f1_apply(lat, v1, v2, magnitude=False):
+    """f1_apply(q1, q2) as the literal double sum over n1, n2 with n = -(n1 + n2)."""
+    out = np.zeros(lat.size, dtype=np.complex128)
+    for n1 in lat.modes:
+        for n2 in lat.modes:
+            n = -(n1 + n2)
+            if n1 * n2 * n == 0 or abs(n) > lat.n_max:
+                continue
+            c = np.sign(n1 * n2 * n) / math.sqrt(abs(n1 * n2 * n))
+            term = c * v1[n1 + lat.n_max] * v2[n2 + lat.n_max]
+            out[n + lat.n_max] += abs(term) if magnitude else term
+    return out
+
+
+def set_closure(support, n_max):
+    modes = {int(n) for n in support}
+    while True:
+        new = {a + b for a in modes for b in modes
+               if a + b != 0 and abs(a + b) <= n_max} - modes
+        if not new:
+            return np.array(sorted(modes), dtype=np.int64)
+        modes |= new
 
 
 def absolute(spec):
@@ -124,6 +177,48 @@ def top_support(n_max):
 @given(data=st.data())
 def test_matches_loop_oracle(spec, modes_for, data):
     assert_matches_oracle(spec, data.draw(states(modes_for)))
+
+
+@st.composite
+def sparse_states(draw, count):
+    """count independent random complex states on one lattice with N <= 12."""
+    n_max = draw(st.integers(1, 12))
+    lat = ModeLattice(n_max, 3 * n_max + 1)
+    out = []
+    for _ in range(count):
+        modes = draw(random_support(n_max))
+        amps = draw(st.lists(amplitude, min_size=len(modes), max_size=len(modes)))
+        out.append(state(lat, modes, amps))
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(qs=sparse_states(3))
+def test_f2_apply_matches_loop_oracle(qs):
+    lat = qs[0].lattice
+    vals = [q.values for q in qs]
+    scale = np.max(loop_f2_apply(lat, *vals, magnitude=True).real)
+    err = np.max(np.abs(f2_apply(*qs).values - loop_f2_apply(lat, *vals)))
+    assert err <= TOL * scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(qs=sparse_states(2))
+def test_f1_apply_matches_double_sum(qs):
+    lat = qs[0].lattice
+    vals = [q.values for q in qs]
+    scale = np.max(sum_f1_apply(lat, *vals, magnitude=True).real)
+    err = np.max(np.abs(f1_apply(*qs).values - sum_f1_apply(lat, *vals)))
+    assert err <= TOL * scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(1, 12), data=st.data())
+def test_closure_matches_set_fixed_point(n_max, data):
+    support = np.array(sorted(data.draw(random_support(n_max))), dtype=np.int64)
+    got = _closure_modes(support, n_max)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, set_closure(support, n_max))
 
 
 class TestCache:
