@@ -296,9 +296,14 @@ def _quartic_sum(spec: HamiltonianSpec, lat: ModeLattice, support: np.ndarray,
     """The quartic contraction: the terms of _quartic_terms summed per output mode."""
     out = np.zeros(lat.size, dtype=np.complex128)
     for w, m in _quartic_terms(spec, lat.n_max, support, *qs):
-        out.real += np.bincount(m, w.real, lat.size)
-        out.imag += np.bincount(m, w.imag, lat.size)
+        _scatter_add(out, m, w)
     return out
+
+
+def _scatter_add(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
+    """out[index] += terms, repeated indices summed: one np.bincount per part."""
+    out.real += np.bincount(index, terms.real, out.size)
+    out.imag += np.bincount(index, terms.imag, out.size)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ ETDRK4 does not.  The nonlinear term is N(u) = sigma(n) grad H3(u)(n), taken
 from hamiltonians on raw arrays, so it shares the one quadratic spectral
 product (a truncated convolution: exact and alias-free) with grad H3, grad F1
 and f1_apply.
+
+envelope_evolve's step contracts two static term tables, scattered by the
+np.bincount helper that also sums the quartic table (hamiltonians._scatter_add).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import H3, LAMBDA2, _h3_gradient_values, eval_hamiltonian
+from .hamiltonians import (H3, LAMBDA2, _h3_gradient_values, _scatter_add,
+                           eval_hamiltonian)
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        l2s_norm, norm)
 
@@ -228,77 +232,57 @@ class _EnvelopeStepper:
     This is the right tool for sparse high-carrier states where the smallest
     |Delta| is far above the envelope rate and direct stepping would need
     dt ~ 1/|Delta|.  First order in h on the envelope; refine steps to verify.
+
+    Every phase is an integer resonance function (input cubes minus the output
+    cube), so it factors exactly into per-mode rotations p(n) = e^{i n^3 t0}:
+    e^{i Delta t0} = p(n1) p(n2) / p(n), and the double phase at third mode nj
+    and output n' = m1 + m2 + nj is p(m1) p(m2) p(nj) / p(n').  A step rotates
+    b = p a, contracts two static tables of nonzero terms (the single-phase
+    weights per pair, the double-phase weights per third mode and pair) and
+    rotates back with conj(p).
     """
 
     def __init__(self, modes: np.ndarray, n_max: int, h: float):
-        self.modes = modes
-        self.h = h
         size = modes.size
-        self.size = size
-        n1 = modes[:, None]
-        n2 = modes[None, :]
-        nsum = n1 + n2
-        valid = (nsum != 0) & (np.abs(nsum) <= n_max)
-        prod = np.where(valid, nsum * n1 * n2, 1)
-        ctil = np.where(
-            valid, 3j * np.sign(nsum) * np.sqrt(np.abs(prod).astype(np.float64)), 0.0
-        )
-        self.delta1 = np.where(valid, (-3 * prod).astype(np.float64), 0.0)
-        self.w1 = ctil * _osc_integral(self.delta1, h)
+        self.cubes = modes.astype(np.float64) ** 3
+        # pair p = i * size + k holds (m1, m2) = (modes[i], modes[k])
+        m1 = np.repeat(modes, size)
+        m2 = np.tile(modes, size)
+        msum = m1 + m2
+        pair = np.flatnonzero((msum != 0) & (np.abs(msum) <= n_max))
+        m1, m2, msum = m1[pair], m2[pair], msum[pair]
+        # delta1 != 0 (divided by below): no mode and no kept pair sum is 0
+        delta1 = (-3 * msum * m1 * m2).astype(np.float64)
+        ctil = 3j * np.sign(msum) * np.sqrt(np.abs(msum * m1 * m2).astype(np.float64))
         # modes is sorted and sum-closed, so every valid sum has an index
-        self.idx1 = np.where(valid, np.searchsorted(modes, nsum), 0)
-        self.valid1 = valid
-        # double-phase tables: for each fixed third mode n2 = modes[j], the
-        # inner pair (m1, m2) forms n1 = m1 + m2 and the output n = n1 + n2.
-        self.second = []
-        for j in range(size):
-            nj = int(modes[j])
-            n_out = nsum + nj
-            ok = valid & (n_out != 0) & (np.abs(n_out) <= n_max)
-            if not ok.any():
-                self.second.append(None)
-                continue
-            d_out = np.where(ok, (-3.0 * nsum * nj * n_out).astype(np.float64), 0.0)
-            c_out = np.where(
-                ok, 3j * np.sign(n_out)
-                * np.sqrt(np.abs(n_out * nsum * nj).astype(np.float64)), 0.0
-            )
-            dprime = self.delta1
+        self.first = (ctil * _osc_integral(delta1, h), pair,
+                      np.searchsorted(modes, msum))
+        # second order, one third mode nj = modes[j] at a time: the pair
+        # forms n1 = m1 + m2 and the output n = n1 + nj
+        second = []
+        for j, nj in enumerate(modes):
+            n_out = msum + nj
+            ok = (n_out != 0) & (np.abs(n_out) <= n_max)
+            n1, n_out, dprime = msum[ok], n_out[ok], delta1[ok]
+            d_out = (-3 * n1 * nj * n_out).astype(np.float64)
+            c_out = 3j * np.sign(n_out) * np.sqrt(np.abs(n_out * n1 * nj).astype(np.float64))
             # J = int_0^h e^{i d_out tau} int_0^tau e^{i d' sigma} dsigma dtau
-            joint = np.where(
-                dprime != 0,
-                (_osc_integral(d_out + dprime, h) - _osc_integral(d_out, h))
-                / np.where(dprime != 0, 1j * dprime, 1.0),
-                _ramp_integral(d_out, h),
-            )
-            weight = np.where(ok, 2.0 * c_out * ctil * joint, 0.0)
-            dtotal = np.where(ok, d_out + dprime, 0.0)
-            oidx = np.where(ok, np.searchsorted(modes, n_out), 0)
-            self.second.append((weight, dtotal, oidx, ok))
+            joint = (_osc_integral(d_out + dprime, h)
+                     - _osc_integral(d_out, h)) / (1j * dprime)
+            second.append((2.0 * c_out * ctil[ok] * joint, pair[ok],
+                           np.full(n_out.size, j), np.searchsorted(modes, n_out)))
+        self.second = tuple(np.concatenate(column) for column in zip(*second))
 
     def step(self, a: np.ndarray, t0: float) -> np.ndarray:
-        aa = a[:, None] * a[None, :]
-        update = np.zeros(self.size, dtype=np.complex128)
-        contrib = np.where(self.valid1,
-                           self.w1 * np.exp(1j * self.delta1 * t0) * aa, 0.0)
-        np.add.at(update, self.idx1, contrib)
-        for j, entry in enumerate(self.second):
-            if entry is None:
-                continue
-            weight, dtotal, oidx, ok = entry
-            contrib = np.where(ok, weight * np.exp(1j * dtotal * t0) * aa * a[j], 0.0)
-            np.add.at(update, oidx, contrib)
-        return a + update
-
-
-def _ramp_integral(omega: np.ndarray, h: float) -> np.ndarray:
-    """int_0^h tau e^{i omega tau} dtau, exactly (omega = 0 gives h^2/2)."""
-    omega = np.asarray(omega, dtype=np.float64)
-    out = np.full(omega.shape, 0.5 * h * h, dtype=np.complex128)
-    nz = omega != 0
-    w = 1j * omega[nz]
-    out[nz] = (np.exp(w * h) * (w * h - 1.0) + 1.0) / w**2
-    return out
+        p = np.exp(1j * self.cubes * t0)
+        b = p * a
+        bb = np.multiply.outer(b, b).ravel()
+        update = np.zeros(a.size, dtype=np.complex128)
+        coef, pair, out = self.first
+        _scatter_add(update, out, coef * bb[pair])
+        coef, pair, third, out = self.second
+        _scatter_add(update, out, coef * bb[pair] * b[third])
+        return a + p.conj() * update
 
 
 def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
@@ -318,6 +302,8 @@ def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
         raise ValueError("t_final must be nonnegative")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     lat = u0.lattice
     modes = _closure_modes(u0.support(), lat.n_max)
     if modes.size > max_support:

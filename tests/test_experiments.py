@@ -185,6 +185,15 @@ class TestCli:
         assert main(["scan-transform", "--config", cfg]) == 2
         assert "lattice too small" in capsys.readouterr().err
 
+    def test_envelope_closure_past_max_support_exit_code(self, tmp_path, capsys):
+        # a band [N0, 2 N0] with both signs sum-closes to all 256 modes of N = 128
+        doc = config_doc(integrator="envelope")
+        doc["data"] = {"family": "random_band", "bandwidth": 1,
+                       "lattice": {"n_max": 128, "m_samples": 385}}
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["scan-theorem", "--config", cfg]) == 2
+        assert "invalid config: support closure has 256 modes" in capsys.readouterr().err
+
     def test_residual_exit_code(self, tmp_path):
         doc = config_doc(max_constants={"0.5": 1e-12})
         cfg = self._write_config(tmp_path, doc)

@@ -1,13 +1,21 @@
-"""Solver tests against independent physical-space and closed-form oracles."""
+"""Solver tests against independent physical-space and closed-form oracles.
+
+The envelope stepper is checked against the per-third-mode loop it replaced,
+which evaluates every triad phase e^{i Delta t0} on the full S x S pair grid
+and scatters with np.add.at.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, gradient
-from kdvlab.solver import (SolverConfig, SolverDivergenceError, diagnostics_of,
+from kdvlab.solver import (SolverConfig, SolverDivergenceError, _closure_modes,
+                           _EnvelopeStepper, _osc_integral, diagnostics_of,
                            envelope_evolve, evolve, kdv_step, nonlinear_term,
                            soliton_mean, soliton_reference, stability_budget)
 from kdvlab.spectral import (GridFunction, ModeLattice, SpectralSequence,
@@ -24,6 +32,61 @@ def random_real_sequence(lat, rng, scale=0.1):
     vals[lat.n_max + 1:] = pos
     vals[:lat.n_max] = pos[::-1].conj()
     return SpectralSequence(lat, vals, real_type=True)
+
+
+def ramp_integral(omega, h):
+    """int_0^h tau e^{i omega tau} dtau, exactly (omega = 0 gives h^2/2)."""
+    out = np.full(omega.shape, 0.5 * h * h, dtype=np.complex128)
+    nz = omega != 0
+    w = 1j * omega[nz]
+    out[nz] = (np.exp(w * h) * (w * h - 1.0) + 1.0) / w**2
+    return out
+
+
+def loop_envelope_update(modes, n_max, h, a, t0):
+    """One envelope step's update as a loop over the third mode j."""
+    n1 = modes[:, None]
+    n2 = modes[None, :]
+    nsum = n1 + n2
+    valid = (nsum != 0) & (np.abs(nsum) <= n_max)
+    prod = np.where(valid, nsum * n1 * n2, 1)
+    ctil = np.where(valid, 3j * np.sign(nsum) * np.sqrt(np.abs(prod).astype(np.float64)), 0.0)
+    delta1 = np.where(valid, (-3 * prod).astype(np.float64), 0.0)
+    aa = a[:, None] * a[None, :]
+    update = np.zeros(modes.size, dtype=np.complex128)
+    contrib = ctil * _osc_integral(delta1, h) * np.exp(1j * delta1 * t0) * aa
+    np.add.at(update, np.where(valid, np.searchsorted(modes, nsum), 0),
+              np.where(valid, contrib, 0.0))
+    for j, nj in enumerate(modes):
+        n_out = nsum + nj
+        ok = valid & (n_out != 0) & (np.abs(n_out) <= n_max)
+        d_out = np.where(ok, (-3.0 * nsum * nj * n_out).astype(np.float64), 0.0)
+        c_out = np.where(ok, 3j * np.sign(n_out)
+                         * np.sqrt(np.abs(n_out * nsum * nj).astype(np.float64)), 0.0)
+        joint = np.where(
+            delta1 != 0,
+            (_osc_integral(d_out + delta1, h) - _osc_integral(d_out, h))
+            / np.where(delta1 != 0, 1j * delta1, 1.0),
+            ramp_integral(d_out, h),
+        )
+        contrib = 2.0 * c_out * ctil * joint * np.exp(1j * (d_out + delta1) * t0) * aa * a[j]
+        np.add.at(update, np.where(ok, np.searchsorted(modes, n_out), 0),
+                  np.where(ok, contrib, 0.0))
+    return update
+
+
+@st.composite
+def envelope_cases(draw):
+    """The sum-closure of 1-3 random modes on N <= 32, a random envelope, h, t0."""
+    n_max = draw(st.integers(1, 32))
+    nonzero = [n for n in range(-n_max, n_max + 1) if n != 0]
+    support = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=3, unique=True))
+    modes = _closure_modes(np.array(support), n_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
+    h = draw(st.floats(1e-3, 0.5))
+    t0 = draw(st.floats(0.0, 4.0))
+    return modes, n_max, h, a, t0
 
 
 class TestNonlinearTerm:
@@ -209,6 +272,8 @@ class TestEnvelope:
             envelope_evolve(u0, 1.0, max_support=8)  # closure is dense
         with pytest.raises(ValueError):
             envelope_evolve(u0, 1.0, steps=0)
+        with pytest.raises(ValueError):
+            envelope_evolve(u0, 1.0, record_every=0)
         bad = SpectralSequence(lat, np.zeros(lat.size, dtype=np.complex128),
                                real_type=False)
         with pytest.raises(ValueError):
@@ -220,3 +285,13 @@ class TestEnvelope:
                               real_type=True)
         traj, _ = envelope_evolve(u0, 1.0)
         assert np.max(np.abs(traj[-1][1].values)) == 0.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(case=envelope_cases())
+    def test_step_matches_loop_oracle(self, case):
+        # the per-mode rotations round the phases n^3 t0 in place of Delta t0
+        modes, n_max, h, a, t0 = case
+        expected = loop_envelope_update(modes, n_max, h, a, t0)
+        got = _EnvelopeStepper(modes, n_max, h).step(a, t0) - a
+        rel = max(1e-12, 8 * 2.0**-52 * np.max(np.abs(modes)) ** 3 * t0)
+        assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
