@@ -10,8 +10,14 @@ tuples of nonzero modes; quartic terms with vanishing cube-sum denominator are
 skipped by exact integer test.
 
 One kernel per degree.  Every quadratic term (grad H3, grad F1, f1_apply and
-the solver's N(u) = sigma grad H3) is one spectral product, _product, the
-only convolution in the package.  Every quartic term (grad F2, the degree-4
+solver.nonlinear_term, N(u) = sigma grad H3) is one spectral product,
+_product, an exact np.convolve.  These stay off the FFT on purpose: flows
+evaluate them on sparse states whose exact zeros key the quartic table cache
+(an FFT would leave round-off on every mode), and nonlinear_term is the
+oracle the tests hold the solver's FFT stepper to.  The degree-3 values H3
+and F1 have separable coefficients c w(n1) w(n2) w(n3), so each is one grid
+cube, c (1/L) sum_j G(x_j)^3 with G the synthesis of w on the alias-free
+L = spectral._fft_size(N) grid.  Every quartic term (grad F2, the degree-4
 values and f2_apply) contracts one quartic table per support: the nonzero
 coefficients c(k1, k2, k3, -m) over the ordered triples of active modes with
 0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3) and of m.  A
@@ -33,7 +39,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .spectral import ModeLattice, SpectralSequence
+from .spectral import ModeLattice, SpectralSequence, _fft, _fft_size
 
 
 class Kind(enum.Enum):
@@ -319,19 +325,8 @@ def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
         c = spec.coefficient(n, -n)
         return complex(np.sum(c * vals * vals[::-1]))
 
-    sup = lat.modes[vals != 0]
-    if sup.size == 0:
-        return 0.0 + 0.0j
-    qs = vals[sup + lat.n_max]
-
     if spec.degree == 3:
-        n1 = sup[:, None]
-        n2 = sup[None, :]
-        n3 = -(n1 + n2)
-        mask = (np.abs(n3) <= lat.n_max) & (n3 != 0)
-        q3 = np.where(mask, vals[np.clip(n3 + lat.n_max, 0, lat.size - 1)], 0.0)
-        c = spec.coefficient(n1, n2, n3)
-        return complex(np.sum(np.where(mask, c, 0.0) * qs[:, None] * qs[None, :] * q3))
+        return _cubic_value(spec, q)
 
     # degree 4: the quartic table's terms, each weighted by q(-m)
     support = np.flatnonzero(vals)
@@ -339,6 +334,46 @@ def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
     reflected = vals[::-1]
     terms = _quartic_terms(spec, lat.n_max, support, qs, qs, qs)
     return complex(sum(np.sum(w * reflected[m]) for w, m in terms))
+
+
+def _cubic_weights(kind: Kind, vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
+    """w with H3 = i sum w(n1) w(n2) w(n3) and F1 = (1/3) sum w(n1) w(n2) w(n3)
+    over zero-sum triples: w = sqrt|n| q for H3, sigma(n) q / sqrt|n| for F1."""
+    n = lat.modes
+    absn = np.abs(n).astype(np.float64)
+    if kind is Kind.H3:
+        return np.sqrt(absn) * vals
+    return np.where(n != 0, _sgn(n) * vals / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
+
+
+_CUBIC_CONSTANT = {Kind.H3: 1j, Kind.F1: 1.0 / 3.0}
+
+
+def _cubic_value(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
+    """H3 or F1 as c (1/L) sum_j G(x_j)^3, G the synthesis of w on L points.
+
+    The coefficient is separable, c w(n1) w(n2) w(n3), and on L >= 3N + 1
+    points a sum of three modes is 0 mod L only if it is 0, so the grid sum
+    is exactly the sum over zero-sum triples.  H3 of a real_type q has a
+    conjugate-symmetric w and synthesises through irfft.  F1 (whose w on a
+    real_type q is anti-symmetric, w(-n) = -conj(w(n))) and any non-real_type
+    q, such as fd_gradient's perturbed states, go through a complex ifft.
+    """
+    if spec.kind not in _CUBIC_CONSTANT:
+        raise ValueError(f"no degree-3 value rule for {spec.kind}")
+    lat = q.lattice
+    w = _cubic_weights(spec.kind, q.values, lat)
+    size = _fft_size(lat.n_max)
+    if spec.kind is Kind.H3 and q.real_type:
+        grid = _fft().irfft(w[lat.n_max:], size, norm="forward")
+    else:
+        # mode n in slot n mod L
+        spread = np.zeros(size, dtype=np.complex128)
+        spread[:lat.n_max + 1] = w[lat.n_max:]
+        spread[size - lat.n_max:] = w[:lat.n_max]
+        grid = _fft().ifft(spread, norm="forward")
+    # grid * grid * grid: np.power with exponent 3 is ~20x slower
+    return complex(_CUBIC_CONSTANT[spec.kind] * np.sum(grid * grid * grid) / size)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +407,8 @@ def gradient(spec: HamiltonianSpec, q: SpectralSequence) -> SpectralSequence:
     elif spec.kind is Kind.H3:
         out = _h3_gradient_values(vals, lat)
     elif spec.kind is Kind.F1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(n != 0, _sgn(n) * vals / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
-            inv = np.where(n != 0, _sgn(n) / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
+        z = _cubic_weights(Kind.F1, vals, lat)
+        inv = np.where(n != 0, _sgn(n) / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
         out = -inv * _product(z, z, lat.n_max)
     elif spec.degree == 4:
         out = _gradient_quartic(spec, lat, vals)

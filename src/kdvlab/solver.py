@@ -6,10 +6,18 @@ stepped with ETDRK4 (Cox-Matthews) whose linear part is exact.  The phi
 functions of the diagonal (purely imaginary) linear symbol are evaluated
 directly, with a Taylor branch near zero to avoid cancellation.  Plain
 integrating-factor RK4 suffers resonance instabilities at high carrier modes;
-ETDRK4 does not.  The nonlinear term is N(u) = sigma(n) grad H3(u)(n), taken
-from hamiltonians on raw arrays, so it shares the one quadratic spectral
-product (a truncated convolution: exact and alias-free) with grad H3, grad F1
-and f1_apply.
+ETDRK4 does not.
+
+evolve and kdv_step take real_type states and step only the half spectrum
+h = u[N:] (modes 0..N); the negative modes are conjugates, rebuilt when a
+state is recorded.  N(h) is a pseudospectral product on the alias-free grid of
+spectral._fft_size(N) points: the samples g of v = sum sqrt|n| u(n) e^{inx}
+by irfft, then N(h) = fac * rfft(g^2)[:N + 1].  The weight fac = 3 i sqrt(n)
+is zeroed off the sum-closure of the initial support, so every mode the
+exact product cannot reach stays an exact zero, as it does under a
+convolution.  nonlinear_term, N(u) = sigma(n) grad H3(u)(n) on the full
+lattice, stays on hamiltonians' exact convolution; the tests use it as the
+stepper's oracle.
 
 envelope_evolve's step contracts two static term tables, scattered by the
 np.bincount helper that also sums the quartic table (hamiltonians._scatter_add).
@@ -18,6 +26,7 @@ np.bincount helper that also sums the quartic table (hamiltonians._scatter_add).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +34,7 @@ import numpy as np
 from .hamiltonians import (H3, LAMBDA2, _h3_gradient_values, _scatter_add,
                            eval_hamiltonian)
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
-                       l2s_norm, norm)
+                       _fft, _fft_size, l2s_norm, norm)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -45,10 +54,16 @@ class SolverConfig:
     record_every: int = 100
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not _is_finite_number(self.dt) or self.dt <= 0.0:
+            raise ValueError(f"dt must be a finite positive number, got {self.dt!r}")
+        if not _is_finite_number(self.t_final) or self.t_final < 0.0:
+            raise ValueError(f"t_final must be a finite number >= 0, got {self.t_final!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 @dataclass
@@ -68,13 +83,35 @@ def stability_budget(u: SpectralSequence, lattice: ModeLattice) -> float:
 def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
     """N(u)(n) = 3 i sigma(n) sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| u(n1) u(n2)."""
     lat = u.lattice
-    vals = _nonlinear_values(u.values, lat)
+    # N(u) = sigma(n) grad H3(u)(n): the flow of H3 in the canonical bracket
+    vals = np.sign(lat.modes) * _h3_gradient_values(u.values, lat)
     return SpectralSequence(lat, vals, u.real_type)
 
 
-def _nonlinear_values(values: np.ndarray, lat: ModeLattice) -> np.ndarray:
-    # N(u) = sigma(n) grad H3(u)(n): the flow of H3 in the canonical bracket
-    return np.sign(lat.modes) * _h3_gradient_values(values, lat)
+def _half_kernel(support: np.ndarray, lat: ModeLattice) -> tuple:
+    """(root, fac, L) of N(h) on the half spectrum, for states whose support
+    lies in support: root = sqrt(n), and fac = 3 i sqrt(n) on the positive
+    modes of the sum-closure of support, 0 elsewhere."""
+    n = np.arange(lat.n_max + 1)
+    root = np.sqrt(n)
+    closure = _closure_modes(support, lat.n_max)
+    pos = closure[closure > 0]
+    fac = np.zeros(n.size, dtype=np.complex128)
+    fac[pos] = 3j * root[pos]
+    return root, fac, _fft_size(lat.n_max)
+
+
+def _half_nonlinear(h: np.ndarray, kernel: tuple) -> np.ndarray:
+    """N(u) on modes 0..N from the half spectrum h = u[N:] of a real_type u."""
+    root, fac, size = kernel
+    fft = _fft()
+    g = fft.irfft(root * h, size, norm="forward")
+    return fac * fft.rfft(g * g, norm="forward")[:h.size]
+
+
+def _mirror(h: np.ndarray) -> np.ndarray:
+    """The full lattice values of the real_type state with half spectrum h."""
+    return np.concatenate((h[:0:-1].conj(), h))
 
 
 def _phi123(z: np.ndarray) -> tuple:
@@ -98,9 +135,9 @@ def _phi123(z: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _etd_coeffs(dt: float, lat: ModeLattice) -> tuple:
-    """Cox-Matthews ETDRK4 coefficient arrays for the diagonal symbol i n^3."""
-    z = 1j * lat.modes.astype(np.float64) ** 3 * dt
+def _etd_coeffs(dt: float, n_max: int) -> tuple:
+    """Cox-Matthews ETDRK4 coefficient arrays for the symbol i n^3, n = 0..N."""
+    z = 1j * np.arange(n_max + 1, dtype=np.float64) ** 3 * dt
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
     q = 0.5 * dt * _phi123(0.5 * z)[0]
@@ -111,24 +148,28 @@ def _etd_coeffs(dt: float, lat: ModeLattice) -> tuple:
     return e_full, e_half, q, f1, f2, f3
 
 
-def _etdrk4_step(values: np.ndarray, coeffs: tuple, lat: ModeLattice) -> np.ndarray:
-    """One ETDRK4 step with precomputed coefficient arrays."""
+def _etdrk4_step(h: np.ndarray, coeffs: tuple, kernel: tuple) -> np.ndarray:
+    """One ETDRK4 step of the half spectrum with precomputed coefficient arrays."""
     e_full, e_half, q, f1, f2, f3 = coeffs
-    nu = _nonlinear_values(values, lat)
-    a = e_half * values + q * nu
-    na = _nonlinear_values(a, lat)
-    b = e_half * values + q * na
-    nb = _nonlinear_values(b, lat)
+    nu = _half_nonlinear(h, kernel)
+    a = e_half * h + q * nu
+    na = _half_nonlinear(a, kernel)
+    b = e_half * h + q * na
+    nb = _half_nonlinear(b, kernel)
     c = e_half * a + q * (2.0 * nb - nu)
-    nc = _nonlinear_values(c, lat)
-    return e_full * values + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+    nc = _half_nonlinear(c, kernel)
+    return e_full * h + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
 
 
 def kdv_step(u: SpectralSequence, dt: float) -> SpectralSequence:
-    """Advance a single step of size dt (used for micro-steps in experiments)."""
+    """Advance a real_type state a single step of size dt (dt may be negative;
+    used for micro-steps in experiments)."""
+    if not u.real_type:
+        raise ValueError("kdv_step requires a real_type state")
     lat = u.lattice
-    return SpectralSequence(lat, _etdrk4_step(u.values, _etd_coeffs(dt, lat), lat),
-                            u.real_type)
+    h = _etdrk4_step(u.values[lat.n_max:], _etd_coeffs(dt, lat.n_max),
+                     _half_kernel(u.support(), lat))
+    return SpectralSequence(lat, _mirror(h), real_type=True)
 
 
 def diagnostics_of(u: SpectralSequence) -> tuple:
@@ -164,22 +205,23 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
         raise ValueError(
             f"stability budget violated: dt * 3 sqrt(N) ||u||_l1_1/2 = {budget:.3f} > 0.5"
         )
-    coeffs = _etd_coeffs(dt, lat)
+    coeffs = _etd_coeffs(dt, lat.n_max)
+    kernel = _half_kernel(u0.support(), lat)
 
-    vals = u0.values.copy()
+    h = u0.values[lat.n_max:]
     trajectory = [(0.0, u0)]
     diags = Diagnostics()
     _record(diags, 0.0, u0)
     for step in range(1, steps + 1):
-        vals = _etdrk4_step(vals, coeffs, lat)
-        if not np.all(np.isfinite(vals)):
+        h = _etdrk4_step(h, coeffs, kernel)
+        if not np.all(np.isfinite(h)):
             raise SolverDivergenceError(
                 f"non-finite state at t = {step * dt:.6g}",
                 trajectory=trajectory, diagnostics=diags,
             )
         if step % cfg.record_every == 0 or step == steps:
             t = step * dt
-            u = SpectralSequence(lat, vals, real_type=True)
+            u = SpectralSequence(lat, _mirror(h), real_type=True)
             trajectory.append((t, u))
             _record(diags, t, u)
     return trajectory, diags
@@ -204,6 +246,8 @@ def _closure_modes(support: np.ndarray, n_max: int) -> np.ndarray:
     inside[np.asarray(support, dtype=np.int64) + n_max] = True
     while True:
         modes = np.flatnonzero(inside) - n_max
+        if modes.size == 2 * n_max:  # every nonzero mode: closed, no S x S sums
+            return modes
         sums = np.add.outer(modes, modes).ravel()
         sums = sums[(sums != 0) & (np.abs(sums) <= n_max)] + n_max
         if inside[sums].all():

@@ -5,11 +5,20 @@ Spectral coefficients live on the truncated lattice n in [-N, N] with the zero
 mode structurally absent; the weighted coordinates are u(n) = vhat(n)/sqrt(|n|)
 with vhat(n) = (1/2pi) * integral of v(x) exp(-i n x) dx, so that
 v(x) = sum_n sqrt(|n|) exp(i n x) u(n).
+
+The transforms between grid samples and weighted coordinates are one real
+FFT on the M-point grid each; the grid origin at -pi contributes the phase
+(-1)^n.  Products in mode space (the solver's nonlinear term, the degree-3
+values) run on a grid of _fft_size(N) points, the smallest 5-smooth length
+that is alias-free for cubic sums of modes |n| <= N.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +29,43 @@ TWO_PI = 2.0 * math.pi
 # operations are exactly symmetric by construction; long evolutions accumulate
 # only rounding-level asymmetry, so this is a loose sanity bound.
 _REALITY_TOL = 1e-11
+
+
+@functools.cache
+def _fft():
+    """numpy.fft, imported at the first transform.
+
+    NumPy 2 imports numpy.fft lazily and kdvlab keeps it so: a command that
+    does no transform does not load it.  The import runs on a helper thread.
+    Python runs signal handlers on the main thread only, and a handler that
+    touches np.fft (a sampling profiler or timer, say) while the main thread
+    is itself inside this import re-enters it through NumPy's module
+    __getattr__ and recurses without end.  Against the helper's import the
+    handler just waits on the module lock until the import is done.
+    """
+    loader = threading.Thread(target=importlib.import_module, args=("numpy.fft",))
+    loader.start()
+    loader.join()
+    return importlib.import_module("numpy.fft")
+
+
+@functools.lru_cache(maxsize=64)
+def _fft_size(n_max: int) -> int:
+    """Smallest 5-smooth integer L >= 3 n_max + 1.
+
+    On L points a sum of three modes |n_i| <= n_max is 0 mod L only if it is
+    0, so cubic grid sums and quadratic products truncated to |n| <= n_max
+    are alias-free; 5-smooth lengths are the fast ones for numpy.fft.
+    """
+    size = 3 * n_max + 1
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 @dataclass(frozen=True)
@@ -165,15 +211,18 @@ def l2s_norm(u: SpectralSequence, s: float) -> float:
     return norm(u, NormSpec(2, s))
 
 
+def _origin_phase(pos: np.ndarray) -> np.ndarray:
+    """exp(-i n x_0) = (-1)^n for the grid origin x_0 = -pi."""
+    return np.where(pos % 2 == 0, 1.0, -1.0)
+
+
 def weighted_from_physical(v: GridFunction) -> SpectralSequence:
     """u(n) = vhat(n)/sqrt(|n|) by exact DFT quadrature on the M-point grid."""
     lat = v.lattice
-    x = lat.grid()
     pos = np.arange(1, lat.n_max + 1)
     # (1/2pi) integral -> (1/M) sum for band-limited v
-    kernel = np.exp(-1j * np.outer(pos, x))
-    vhat_pos = kernel @ v.samples / lat.m_samples
-    u_pos = vhat_pos / np.sqrt(pos)
+    vhat_pos = _fft().rfft(v.samples, norm="forward")[1:lat.n_max + 1]
+    u_pos = _origin_phase(pos) * vhat_pos / np.sqrt(pos)
     vals = np.zeros(lat.size, dtype=np.complex128)
     vals[lat.n_max + 1:] = u_pos
     vals[:lat.n_max] = u_pos[::-1].conj()
@@ -185,11 +234,11 @@ def physical_from_weighted(u: SpectralSequence) -> GridFunction:
     if not u.real_type:
         raise ValueError("physical_from_weighted requires a real_type sequence")
     lat = u.lattice
-    x = lat.grid()
     pos = np.arange(1, lat.n_max + 1)
-    coef = np.sqrt(pos) * u.values[lat.n_max + 1:]
-    kernel = np.exp(1j * np.outer(x, pos))
-    samples = 2.0 * np.real(kernel @ coef)
+    coef = np.zeros(lat.n_max + 1, dtype=np.complex128)
+    coef[1:] = _origin_phase(pos) * np.sqrt(pos) * u.values[lat.n_max + 1:]
+    # M > 2 N, so the half spectrum has no Nyquist term: 2 Re sum_n coef e^{inx}
+    samples = _fft().irfft(coef, lat.m_samples, norm="forward")
     # exact synthesis of a finite real trig polynomial is mean-zero; remove the
     # rounding-level residue so the GridFunction invariant is exact
     samples -= np.mean(samples)

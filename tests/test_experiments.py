@@ -217,6 +217,15 @@ class TestCli:
         assert main(["simulate", "--config", cfg]) == 2
         assert "stability budget violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_final", [-1, "x"])
+    def test_simulate_bad_t_final_exit_code(self, tmp_path, capsys, t_final):
+        # -1 used to exit 0 after one CSV row, "x" to exit 1 with a TypeError
+        doc = config_doc()
+        doc["t_final"] = t_final
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "invalid config: t_final" in capsys.readouterr().err
+
     def test_fit_subcommand(self, tmp_path, capsys):
         src = tmp_path / "points.csv"
         src.write_text("x,y\n0.1,0.01\n0.2,0.04\n0.4,0.16\n")

@@ -4,9 +4,10 @@ The oracles below are the original per-k1 implementations of the degree-4
 gradient, value and f2_apply: for every support mode k1 they evaluate the
 coefficient on the full support x support grid, mask output modes outside
 0 < |m| <= n_max and scatter with np.add.at.  f1_apply is checked against a
-literal double sum and the envelope closure against its set-based fixed
-point.  Errors are measured against the sum of the absolute values of the
-terms, so cancelling sums are not over-weighted.
+literal double sum, the degree-3 values (a cube summed on the FFT grid)
+against a literal triple sum, and the envelope closure against its set-based
+fixed point.  Errors are measured against the sum of the absolute values of
+the terms, so cancelling sums are not over-weighted.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import hamiltonians
-from kdvlab.hamiltonians import (F2, QUARTIC_RESONANT, HamiltonianSpec, _f2_raw,
+from kdvlab.hamiltonians import (F1, F2, H3, QUARTIC_RESONANT, HamiltonianSpec, _f2_raw,
                                  eval_hamiltonian, f1_apply, f2_apply, gradient)
 from kdvlab.solver import _closure_modes
 from kdvlab.spectral import ModeLattice, SpectralSequence
@@ -100,6 +101,30 @@ def sum_f1_apply(lat, v1, v2, magnitude=False):
     return out
 
 
+def triple_sum_value(spec, lat, vals, magnitude=False):
+    """A degree-3 value as the literal sum over ordered zero-sum triples;
+    the sum of |terms| if magnitude."""
+    total = 0.0
+    for n1 in lat.modes:
+        for n2 in lat.modes:
+            n3 = -(n1 + n2)
+            if n1 * n2 * n3 == 0 or abs(n3) > lat.n_max:
+                continue
+            term = (complex(spec.coefficient(n1, n2, n3)) * vals[n1 + lat.n_max]
+                    * vals[n2 + lat.n_max] * vals[n3 + lat.n_max])
+            total += abs(term) if magnitude else term
+    return total
+
+
+def grid_floor(spec, lat, vals):
+    """2^-52 (sum |w(n)|)^3, w = sqrt|n| q for H3 and q/sqrt|n| for F1: the
+    rounding of a grid sum of cubes, present even where no zero-sum triple
+    exists and the literal sum is exactly 0."""
+    root = np.sqrt(np.maximum(np.abs(lat.modes), 1))
+    w = np.abs(vals) * (root if spec is H3 else 1.0 / root)
+    return 2.0**-52 * np.sum(w) ** 3
+
+
 def set_closure(support, n_max):
     modes = {int(n) for n in support}
     while True:
@@ -177,6 +202,24 @@ def top_support(n_max):
 @given(data=st.data())
 def test_matches_loop_oracle(spec, modes_for, data):
     assert_matches_oracle(spec, data.draw(states(modes_for)))
+
+
+@pytest.mark.parametrize("spec", [H3, F1], ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("real_type", [True, False], ids=["real_type", "complex"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cubic_value_matches_triple_sum(spec, real_type, data):
+    # real_type H3 synthesises on the grid by irfft, the rest by a complex
+    # ifft; fd_gradient evaluates on non-real_type perturbations
+    modes_for = data.draw(st.sampled_from([random_support, sublattice_support, top_support]))
+    q = data.draw(states(modes_for))
+    lat = q.lattice
+    if real_type:
+        q = SpectralSequence(lat, q.values + q.values[::-1].conj(), real_type=True)
+    expected = triple_sum_value(spec, lat, q.values)
+    bound = (TOL * triple_sum_value(spec, lat, q.values, magnitude=True)
+             + 8.0 * grid_floor(spec, lat, q.values))
+    assert abs(eval_hamiltonian(spec, q) - expected) <= bound
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Solver tests against independent physical-space and closed-form oracles.
 
+The half-spectrum FFT stepper is checked against the full-lattice ETDRK4 step
+it replaced, whose N(u) is nonlinear_term (the exact np.convolve product).
 The envelope stepper is checked against the per-third-mode loop it replaced,
 which evaluates every triad phase e^{i Delta t0} on the full S x S pair grid
 and scatters with np.add.at.
@@ -15,11 +17,12 @@ from hypothesis import strategies as st
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, gradient
 from kdvlab.solver import (SolverConfig, SolverDivergenceError, _closure_modes,
-                           _EnvelopeStepper, _osc_integral, diagnostics_of,
+                           _EnvelopeStepper, _half_kernel, _half_nonlinear,
+                           _osc_integral, _phi123, diagnostics_of,
                            envelope_evolve, evolve, kdv_step, nonlinear_term,
                            soliton_mean, soliton_reference, stability_budget)
-from kdvlab.spectral import (GridFunction, ModeLattice, SpectralSequence,
-                             l2s_norm, linear_phase, sequence_from_modes,
+from kdvlab.spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
+                             l2s_norm, linear_phase, norm, sequence_from_modes,
                              weighted_from_physical)
 
 LAT = ModeLattice(16, 49)
@@ -31,6 +34,60 @@ def random_real_sequence(lat, rng, scale=0.1):
     vals = np.zeros(lat.size, dtype=np.complex128)
     vals[lat.n_max + 1:] = pos
     vals[:lat.n_max] = pos[::-1].conj()
+    return SpectralSequence(lat, vals, real_type=True)
+
+
+def full_etdrk4_step(u, dt):
+    """One Cox-Matthews ETDRK4 step on the full lattice, N(u) by nonlinear_term."""
+    lat = u.lattice
+    z = 1j * lat.modes.astype(np.float64) ** 3 * dt
+    e_half = np.exp(0.5 * z)
+    q = 0.5 * dt * _phi123(0.5 * z)[0]
+    p1, p2, p3 = _phi123(z)
+    f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    f2 = dt * (p2 - 2.0 * p3)
+    f3 = dt * (4.0 * p3 - p2)
+
+    def nl(values):
+        return nonlinear_term(SpectralSequence(lat, values, real_type=False)).values
+
+    v = u.values
+    nu = nl(v)
+    a = e_half * v + q * nu
+    na = nl(a)
+    b = e_half * v + q * na
+    nb = nl(b)
+    c = e_half * a + q * (2.0 * nb - nu)
+    nc = nl(c)
+    return np.exp(z) * v + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+
+
+def off_closure(u):
+    """Mask over modes 0..N of the nonnegative modes outside the sum-closure
+    of u's support."""
+    n_max = u.lattice.n_max
+    off = np.ones(n_max + 1, dtype=bool)
+    closure = _closure_modes(u.support(), n_max)
+    off[closure[closure >= 0]] = False
+    return off
+
+
+@st.composite
+def real_states(draw, max_n=64):
+    """A random real_type state on N <= max_n: dense, or on 1-3 random pairs."""
+    n_max = draw(st.integers(1, max_n))
+    lat = ModeLattice(n_max, 3 * n_max + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
+    pos *= 10.0 ** draw(st.floats(-3.0, 1.0)) / np.arange(1, n_max + 1)
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=3, unique=True))
+        sparse = np.zeros(n_max, dtype=np.complex128)
+        sparse[np.array(kept) - 1] = pos[np.array(kept) - 1]
+        pos = sparse
+    vals = np.zeros(lat.size, dtype=np.complex128)
+    vals[n_max + 1:] = pos
+    vals[:n_max] = pos[::-1].conj()
     return SpectralSequence(lat, vals, real_type=True)
 
 
@@ -124,6 +181,61 @@ class TestNonlinearTerm:
         assert np.max(np.abs(nonlinear_term(u).values - expected)) < 1e-12
 
 
+class TestHalfSpectrum:
+    """N(u) on the half spectrum through irfft/rfft against the convolution."""
+
+    @staticmethod
+    def check_against_convolution(u):
+        n_max = u.lattice.n_max
+        got = _half_nonlinear(u.values[n_max:], _half_kernel(u.support(), u.lattice))
+        expected = nonlinear_term(u).values[n_max:]
+        # N vanishes identically only when every pair sum leaves the lattice;
+        # the FFT then leaves round-off on the closure, measured against the
+        # a-priori product scale 3 sqrt(N) ||u||^2_{l^1_{1/2}}
+        scale = (np.max(np.abs(expected))
+                 or 3.0 * math.sqrt(n_max) * norm(u, NormSpec(1, 0.5)) ** 2)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+        assert np.all(got[off_closure(u)] == 0.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(u=real_states())
+    def test_matches_convolution(self, u):
+        self.check_against_convolution(u)
+
+    def test_matches_convolution_n512(self):
+        lat = ModeLattice(512, 1537)
+        self.check_against_convolution(random_real_sequence(lat, np.random.default_rng(41)))
+        self.check_against_convolution(make_data(DataSpec(
+            family=Family.SINGLE_PAIR, epsilon=0.02, rho=1.0, lattice=lat)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(u=real_states(max_n=32), dt=st.floats(1e-5, 1e-3), sign=st.sampled_from((1, -1)))
+    def test_step_matches_full_lattice_oracle(self, u, dt, sign):
+        # both signs of dt: scan_error_term differentiates with kdv_step(u, -h)
+        expected = full_etdrk4_step(u, sign * dt)
+        got = kdv_step(u, sign * dt).values
+        scale = max(np.max(np.abs(expected)), 1e-300)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+        assert np.all(got[u.lattice.n_max:][off_closure(u)] == 0.0)
+
+    def test_evolve_stays_on_closure(self):
+        lat = ModeLattice(64, 193)
+        u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.1, rho=1.0, lattice=lat))
+        traj, _ = evolve(u0, SolverConfig(dt=5e-4, t_final=0.05, lattice=lat,
+                                          record_every=20))
+        closure = set(_closure_modes(u0.support(), lat.n_max).tolist())
+        assert closure == {n for n in range(-64, 65) if n and n % 10 == 0}
+        for _, u in traj:
+            assert set(u.support().tolist()) <= closure
+        assert set(traj[-1][1].support().tolist()) == closure
+
+    def test_kdv_step_requires_real_type(self):
+        u = SpectralSequence(LAT, np.zeros(LAT.size, dtype=np.complex128),
+                             real_type=False)
+        with pytest.raises(ValueError):
+            kdv_step(u, 1e-3)
+
+
 class TestStepper:
     def test_linear_limit(self):
         # tiny amplitude: one step must match the exact Airy phase to O(amp^2)
@@ -172,6 +284,20 @@ class TestStepper:
             SolverConfig(dt=0.0, t_final=1.0, lattice=LAT)
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-3, t_final=1.0, lattice=LAT, record_every=0)
+
+    @pytest.mark.parametrize("dt, t_final", [
+        (1e-3, -0.5), (1e-3, math.inf), (1e-3, math.nan), (1e-3, "x"), (1e-3, None),
+        (math.nan, 1.0), (math.inf, 1.0), (-1e-3, 1.0), ("0.001", 1.0),
+    ])
+    def test_config_rejects_bad_times(self, dt, t_final):
+        # a negative t_final used to run zero steps and return u0 silently
+        with pytest.raises(ValueError):
+            SolverConfig(dt=dt, t_final=t_final, lattice=LAT)
+
+    def test_zero_t_final(self):
+        u = sequence_from_modes(LAT, {1: 0.1, -1: 0.1})
+        traj, diags = evolve(u, SolverConfig(dt=1e-3, t_final=0.0, lattice=LAT))
+        assert [t for t, _ in traj] == [0.0] and diags.times == [0.0]
 
 
 class TestDiagnostics:

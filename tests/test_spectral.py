@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from kdvlab.spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
-                             l2s_norm, linear_phase, norm, physical_from_weighted,
-                             sequence_from_modes, weighted_from_physical,
-                             zero_sequence)
+                             _fft_size, l2s_norm, linear_phase, norm,
+                             physical_from_weighted, sequence_from_modes,
+                             weighted_from_physical, zero_sequence)
 
 LAT = ModeLattice(16, 49)
 
@@ -19,6 +19,51 @@ def random_real_sequence(lat, rng, scale=1.0):
     vals[lat.n_max + 1:] = pos
     vals[:lat.n_max] = pos[::-1].conj()
     return SpectralSequence(lat, vals, real_type=True)
+
+
+def dft_matrix(lat):
+    """The literal N x M matrix e^{-i n x_j}, n = 1..N, x_j = -pi + 2 pi j / M.
+
+    Each phase n x_j = -n pi + 2 pi (n j mod M) / M is reduced in integers
+    first: with x_j itself, arguments up to N pi carry rounding of
+    ulp(N pi) ~ 1e-13 rad at N = 512, more than the FFT's own error.
+    """
+    pos = np.arange(1, lat.n_max + 1)
+    j = np.arange(lat.m_samples)
+    turns = np.outer(pos, j) % lat.m_samples
+    sign = np.where(pos % 2 == 0, 1.0, -1.0)[:, None]
+    return sign * np.exp(-2j * math.pi * turns / lat.m_samples)
+
+
+def dft_weighted_from_physical(v):
+    """u(n) = (1/M) sum_j v(x_j) e^{-i n x_j} / sqrt(n), n = 1..N."""
+    lat = v.lattice
+    pos = np.arange(1, lat.n_max + 1)
+    return dft_matrix(lat) @ v.samples / lat.m_samples / np.sqrt(pos)
+
+
+def dft_physical_from_weighted(u):
+    """v(x_j) = 2 Re sum_{n=1..N} sqrt(n) e^{i n x_j} u(n)."""
+    lat = u.lattice
+    pos = np.arange(1, lat.n_max + 1)
+    return 2.0 * np.real(dft_matrix(lat).conj().T @ (np.sqrt(pos) * u.values[lat.n_max + 1:]))
+
+
+def is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fft_size():
+    for n_max, size in ((1, 4), (16, 50), (64, 200), (256, 800), (512, 1600)):
+        assert _fft_size(n_max) == size
+    # the smallest 5-smooth length >= 3 N + 1
+    for n_max in range(1, 200):
+        size = _fft_size(n_max)
+        assert is_5_smooth(size)
+        assert not any(is_5_smooth(k) for k in range(3 * n_max + 1, size))
 
 
 class TestModeLattice:
@@ -118,6 +163,23 @@ class TestTransforms:
         v = GridFunction(LAT, 2.0 * np.sin(2 * x))
         u = weighted_from_physical(v)
         assert u.value_at(2) == pytest.approx(-1j / math.sqrt(2), abs=1e-13)
+
+    # prime M = 3 * 64 + 1, an even M, and the N = 512 lattice's M
+    @pytest.mark.parametrize("n_max, m_samples", [(64, 193), (64, 256), (512, 1537)])
+    def test_dft_matrix_oracle(self, n_max, m_samples):
+        lat = ModeLattice(n_max, m_samples)
+        rng = np.random.default_rng(n_max + m_samples)
+        u = random_real_sequence(lat, rng)
+        v = physical_from_weighted(u)
+        expected = dft_physical_from_weighted(u)
+        scale = np.max(np.abs(expected))
+        # physical_from_weighted also removes the rounding-level mean
+        assert np.max(np.abs(v.samples - expected)) <= 1e-14 * scale
+        w = rng.standard_normal(m_samples)
+        g = GridFunction(lat, w - np.mean(w))
+        got = weighted_from_physical(g).values[lat.n_max + 1:]
+        expected = dft_weighted_from_physical(g)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
