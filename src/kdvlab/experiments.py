@@ -14,6 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,9 @@ class ScanConfig:
     envelope_steps: int = 64
 
     def __post_init__(self) -> None:
+        if (isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral)
+                or self.workers < 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.integrator not in ("direct", "envelope"):
             raise ValueError("integrator must be 'direct' or 'envelope'")
         if self.envelope_steps < 1:

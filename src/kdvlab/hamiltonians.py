@@ -14,9 +14,11 @@ solver.nonlinear_term, N(u) = sigma grad H3) is one spectral product,
 _product, an exact np.convolve.  These stay off the FFT on purpose: flows
 evaluate them on sparse states whose exact zeros key the quartic table cache
 (an FFT would leave round-off on every mode), and nonlinear_term is the
-oracle the tests hold the solver's FFT stepper to.  The degree-3 values H3
-and F1 have separable coefficients c w(n1) w(n2) w(n3), so each is one grid
-cube, c (1/L) sum_j G(x_j)^3 with G the synthesis of w on the alias-free
+oracle the tests hold both branches of the solver's sublattice stepper to:
+_product itself on sublattices of K < solver._FFT_CROSSOVER positive modes,
+an irfft/rfft pair on larger ones.  The degree-3 values H3 and F1 have
+separable coefficients c w(n1) w(n2) w(n3), so each is one grid cube,
+c (1/L) sum_j G(x_j)^3 with G the synthesis of w on the alias-free
 L = spectral._fft_size(N) grid.  Every quartic term (grad F2, the degree-4
 values and f2_apply) contracts one quartic table per support: the nonzero
 coefficients c(k1, k2, k3, -m) over the ordered triples of active modes with

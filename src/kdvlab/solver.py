@@ -8,16 +8,18 @@ directly, with a Taylor branch near zero to avoid cancellation.  Plain
 integrating-factor RK4 suffers resonance instabilities at high carrier modes;
 ETDRK4 does not.
 
-evolve and kdv_step take real_type states and step only the half spectrum
-h = u[N:] (modes 0..N); the negative modes are conjugates, rebuilt when a
-state is recorded.  N(h) is a pseudospectral product on the alias-free grid of
-spectral._fft_size(N) points: the samples g of v = sum sqrt|n| u(n) e^{inx}
-by irfft, then N(h) = fac * rfft(g^2)[:N + 1].  The weight fac = 3 i sqrt(n)
-is zeroed off the sum-closure of the initial support, so every mode the
-exact product cannot reach stays an exact zero, as it does under a
-convolution.  nonlinear_term, N(u) = sigma(n) grad H3(u)(n) on the full
-lattice, stays on hamiltonians' exact convolution; the tests use it as the
-stepper's oracle.
+evolve and kdv_step take real_type states and step the half spectrum on the
+sublattice of the initial support, the modes n = d k, k = 0..K = N // d, with
+d the gcd of the positive support modes (_sublattice); the other modes stay
+exact zeros.  This is the KdV scaling u(d k, t) = d^{3/2} w(k, d^3 t): a
+single pair at carrier N0 steps N // N0 + 1 modes, dense data all N + 1.
+The full lattice is rebuilt only when a state is recorded.  N(h) is an exact
+np.convolve of the mirrored half spectrum (hamiltonians._product) for
+K < _FFT_CROSSOVER, else a pseudospectral product on the alias-free grid of
+spectral._fft_size(K) points: the samples g of v = sum sqrt|n| u(n) e^{inx}
+by irfft, then N(h) = 3 i sqrt(n) rfft(g^2)[:K + 1].  nonlinear_term,
+N(u) = sigma(n) grad H3(u)(n) on the full lattice, is hamiltonians' exact
+convolution; the tests hold both branches to it.
 
 envelope_evolve's step contracts two static term tables, scattered by the
 np.bincount helper that also sums the quartic table (hamiltonians._scatter_add).
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import (H3, LAMBDA2, _h3_gradient_values, _scatter_add,
-                           eval_hamiltonian)
+from .hamiltonians import (H3, LAMBDA2, _h3_gradient_values, _product,
+                           _scatter_add, eval_hamiltonian)
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        _fft, _fft_size, l2s_norm, norm)
 
@@ -88,30 +90,61 @@ def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
     return SpectralSequence(lat, vals, u.real_type)
 
 
-def _half_kernel(support: np.ndarray, lat: ModeLattice) -> tuple:
-    """(root, fac, L) of N(h) on the half spectrum, for states whose support
-    lies in support: root = sqrt(n), and fac = 3 i sqrt(n) on the positive
-    modes of the sum-closure of support, 0 elsewhere."""
-    n = np.arange(lat.n_max + 1)
-    root = np.sqrt(n)
-    closure = _closure_modes(support, lat.n_max)
-    pos = closure[closure > 0]
-    fac = np.zeros(n.size, dtype=np.complex128)
-    fac[pos] = 3j * root[pos]
-    return root, fac, _fft_size(lat.n_max)
+# N(h) is an exact np.convolve below this many sublattice modes K and the
+# irfft/rfft pair on _fft_size(K) points from it on.  Per call (best of 7 x
+# 2,000) on a 2-core Xeon VM with NumPy 2.4, the convolution took 6.7 us and
+# the FFT pair 13.3 us at K = 8; from K ~ 48 to 64 the two stay within the
+# VM's run-to-run noise of each other (convolution 15 and 23 us, FFT 17 and
+# 20 us at K = 48 and 64), and above that the FFT wins (140 against 34 us at
+# K = 256).
+_FFT_CROSSOVER = 64
+
+
+def _sublattice(h: np.ndarray) -> np.ndarray:
+    """The modes 0, d, 2d, ... <= N of the sublattice d Z that carries the
+    real_type state with half spectrum h = u[N:]: d is the gcd of its nonzero
+    modes, and the zero state keeps the zero mode only.
+
+    The sum-closure of a conjugate-symmetric support with gcd d is exactly
+    d Z in [-N, N] minus 0 (for 0 < a < b in it, so is b - a: Euclid reaches
+    d), so KdV keeps the state there; the zero state's closure is empty.
+    """
+    return np.arange(0, h.size, int(np.gcd.reduce(np.flatnonzero(h))) or h.size)
+
+
+def _half_kernel(modes: np.ndarray) -> tuple:
+    """(root, fac, size) of N(h) on the half-spectrum modes n = d k,
+    k = 0..K: root = sqrt(n), fac = 3 i sqrt(n), and size the FFT grid
+    length, or 0 below the crossover, where N(h) is an exact convolution."""
+    root = np.sqrt(modes)
+    k_max = modes.size - 1
+    return root, 3j * root, _fft_size(k_max) if k_max >= _FFT_CROSSOVER else 0
 
 
 def _half_nonlinear(h: np.ndarray, kernel: tuple) -> np.ndarray:
-    """N(u) on modes 0..N from the half spectrum h = u[N:] of a real_type u."""
+    """N(u) on the sublattice modes d k, k = 0..K, from the values h there of
+    a real_type u on the sublattice d Z."""
     root, fac, size = kernel
+    w = root * h
+    if not size:
+        full = _mirror(w)
+        return fac * _product(full, full, h.size - 1)[h.size - 1:]
     fft = _fft()
-    g = fft.irfft(root * h, size, norm="forward")
+    g = fft.irfft(w, size, norm="forward")
     return fac * fft.rfft(g * g, norm="forward")[:h.size]
 
 
 def _mirror(h: np.ndarray) -> np.ndarray:
     """The full lattice values of the real_type state with half spectrum h."""
     return np.concatenate((h[:0:-1].conj(), h))
+
+
+def _full_lattice(h: np.ndarray, modes: np.ndarray, n_max: int) -> np.ndarray:
+    """The full lattice values of the real_type state whose half spectrum is
+    h on modes and 0 elsewhere."""
+    half = np.zeros(n_max + 1, dtype=np.complex128)
+    half[modes] = h
+    return _mirror(half)
 
 
 def _phi123(z: np.ndarray) -> tuple:
@@ -135,9 +168,9 @@ def _phi123(z: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _etd_coeffs(dt: float, n_max: int) -> tuple:
-    """Cox-Matthews ETDRK4 coefficient arrays for the symbol i n^3, n = 0..N."""
-    z = 1j * np.arange(n_max + 1, dtype=np.float64) ** 3 * dt
+def _etd_coeffs(dt: float, modes: np.ndarray) -> tuple:
+    """Cox-Matthews ETDRK4 coefficient arrays for the symbol i n^3 on modes."""
+    z = 1j * modes.astype(np.float64) ** 3 * dt
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
     q = 0.5 * dt * _phi123(0.5 * z)[0]
@@ -166,10 +199,11 @@ def kdv_step(u: SpectralSequence, dt: float) -> SpectralSequence:
     used for micro-steps in experiments)."""
     if not u.real_type:
         raise ValueError("kdv_step requires a real_type state")
-    lat = u.lattice
-    h = _etdrk4_step(u.values[lat.n_max:], _etd_coeffs(dt, lat.n_max),
-                     _half_kernel(u.support(), lat))
-    return SpectralSequence(lat, _mirror(h), real_type=True)
+    n_max = u.lattice.n_max
+    h = u.values[n_max:]
+    modes = _sublattice(h)
+    h = _etdrk4_step(h[modes], _etd_coeffs(dt, modes), _half_kernel(modes))
+    return SpectralSequence(u.lattice, _full_lattice(h, modes, n_max), real_type=True)
 
 
 def diagnostics_of(u: SpectralSequence) -> tuple:
@@ -205,10 +239,12 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
         raise ValueError(
             f"stability budget violated: dt * 3 sqrt(N) ||u||_l1_1/2 = {budget:.3f} > 0.5"
         )
-    coeffs = _etd_coeffs(dt, lat.n_max)
-    kernel = _half_kernel(u0.support(), lat)
-
     h = u0.values[lat.n_max:]
+    modes = _sublattice(h)
+    coeffs = _etd_coeffs(dt, modes)
+    kernel = _half_kernel(modes)
+
+    h = h[modes]
     trajectory = [(0.0, u0)]
     diags = Diagnostics()
     _record(diags, 0.0, u0)
@@ -221,7 +257,7 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
             )
         if step % cfg.record_every == 0 or step == steps:
             t = step * dt
-            u = SpectralSequence(lat, _mirror(h), real_type=True)
+            u = SpectralSequence(lat, _full_lattice(h, modes, lat.n_max), real_type=True)
             trajectory.append((t, u))
             _record(diags, t, u)
     return trajectory, diags
@@ -234,25 +270,6 @@ def _record(diags: Diagnostics, t: float, u: SpectralSequence) -> None:
     diags.K.append(k)
     diags.H.append(h)
     diags.h1_weighted.append(l2s_norm(u, 1.5))
-
-
-def _closure_modes(support: np.ndarray, n_max: int) -> np.ndarray:
-    """Smallest mode set containing support and closed under pairwise sums.
-
-    The set is a mask over the lattice, so the modes come out sorted without
-    a sort (NumPy's sort routines add about 1 MB to a process's peak RSS).
-    """
-    inside = np.zeros(2 * n_max + 1, dtype=bool)
-    inside[np.asarray(support, dtype=np.int64) + n_max] = True
-    while True:
-        modes = np.flatnonzero(inside) - n_max
-        if modes.size == 2 * n_max:  # every nonzero mode: closed, no S x S sums
-            return modes
-        sums = np.add.outer(modes, modes).ravel()
-        sums = sums[(sums != 0) & (np.abs(sums) <= n_max)] + n_max
-        if inside[sums].all():
-            return modes
-        inside[sums] = True
 
 
 def _osc_integral(omega: np.ndarray, h: float) -> np.ndarray:
@@ -334,7 +351,8 @@ def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
     """Integrate sparse data to t_final by oscillatory envelope quadrature.
 
     Same return shape as evolve: (trajectory, diagnostics).  The state is
-    compressed to the sum-closure of its support; cost per step is
+    compressed to the sum-closure of its support, the nonzero modes of the
+    sublattice evolve steps on (_sublattice); cost per step is
     O(S^3) for S support modes, independent of how fast the triad phases are.
     Use for high-carrier states whose closure is genuinely sparse (the
     max_support guard rejects dense closures, where direct stepping with
@@ -342,14 +360,15 @@ def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
     """
     if not u0.real_type:
         raise ValueError("envelope_evolve requires real_type initial data")
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative")
+    if not _is_finite_number(t_final) or t_final < 0.0:
+        raise ValueError(f"t_final must be a finite number >= 0, got {t_final!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     lat = u0.lattice
-    modes = _closure_modes(u0.support(), lat.n_max)
+    pos = _sublattice(u0.values[lat.n_max:])[1:]
+    modes = np.concatenate((-pos[::-1], pos))
     if modes.size > max_support:
         raise ValueError(
             f"support closure has {modes.size} modes > max_support = {max_support}; "

@@ -226,6 +226,14 @@ class TestCli:
         assert main(["simulate", "--config", cfg]) == 2
         assert "invalid config: t_final" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["2", 0, -3, 2.5, True])
+    def test_bad_workers_exit_code(self, tmp_path, capsys, workers):
+        # "2" used to exit 1 with a TypeError; 0, -3 and 2.5 ran silently
+        doc = config_doc(workers=workers)
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["scan-theorem", "--config", cfg]) == 2
+        assert "invalid config: workers" in capsys.readouterr().err
+
     def test_fit_subcommand(self, tmp_path, capsys):
         src = tmp_path / "points.csv"
         src.write_text("x,y\n0.1,0.01\n0.2,0.04\n0.4,0.16\n")

@@ -1,7 +1,10 @@
 """Solver tests against independent physical-space and closed-form oracles.
 
-The half-spectrum FFT stepper is checked against the full-lattice ETDRK4 step
-it replaced, whose N(u) is nonlinear_term (the exact np.convolve product).
+The sublattice half-spectrum stepper is checked against the full-lattice
+ETDRK4 step it replaced, whose N(u) is nonlinear_term (the exact np.convolve
+product), on both branches of its N(h), and against the KdV scaling symmetry.
+Its sublattice is checked against the set-based fixed point of the sum-closure
+(set_closure).
 The envelope stepper is checked against the per-third-mode loop it replaced,
 which evaluates every triad phase e^{i Delta t0} on the full S x S pair grid
 and scatters with np.add.at.
@@ -16,21 +19,24 @@ from hypothesis import strategies as st
 
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, gradient
-from kdvlab.solver import (SolverConfig, SolverDivergenceError, _closure_modes,
+from kdvlab.solver import (_FFT_CROSSOVER, SolverConfig, SolverDivergenceError,
                            _EnvelopeStepper, _half_kernel, _half_nonlinear,
-                           _osc_integral, _phi123, diagnostics_of,
+                           _osc_integral, _phi123, _sublattice, diagnostics_of,
                            envelope_evolve, evolve, kdv_step, nonlinear_term,
                            soliton_mean, soliton_reference, stability_budget)
 from kdvlab.spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                              l2s_norm, linear_phase, norm, sequence_from_modes,
                              weighted_from_physical)
+from test_quartic_table import set_closure
 
 LAT = ModeLattice(16, 49)
 
 
-def random_real_sequence(lat, rng, scale=0.1):
+def random_real_sequence(lat, rng, scale=0.1, step=1):
+    """A random real_type state on every nonzero multiple of step."""
     pos = scale * (rng.standard_normal(lat.n_max) + 1j * rng.standard_normal(lat.n_max))
     pos /= np.arange(1, lat.n_max + 1)
+    pos[np.arange(1, lat.n_max + 1) % step != 0] = 0.0
     vals = np.zeros(lat.size, dtype=np.complex128)
     vals[lat.n_max + 1:] = pos
     vals[:lat.n_max] = pos[::-1].conj()
@@ -67,7 +73,7 @@ def off_closure(u):
     of u's support."""
     n_max = u.lattice.n_max
     off = np.ones(n_max + 1, dtype=bool)
-    closure = _closure_modes(u.support(), n_max)
+    closure = set_closure(u.support(), n_max)
     off[closure[closure >= 0]] = False
     return off
 
@@ -138,7 +144,7 @@ def envelope_cases(draw):
     n_max = draw(st.integers(1, 32))
     nonzero = [n for n in range(-n_max, n_max + 1) if n != 0]
     support = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=3, unique=True))
-    modes = _closure_modes(np.array(support), n_max)
+    modes = set_closure(support, n_max)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
     h = draw(st.floats(1e-3, 0.5))
@@ -182,12 +188,16 @@ class TestNonlinearTerm:
 
 
 class TestHalfSpectrum:
-    """N(u) on the half spectrum through irfft/rfft against the convolution."""
+    """N(u) on the sublattice half spectrum, by np.convolve below the crossover
+    and by irfft/rfft from it on, against the full-lattice convolution."""
 
     @staticmethod
     def check_against_convolution(u):
         n_max = u.lattice.n_max
-        got = _half_nonlinear(u.values[n_max:], _half_kernel(u.support(), u.lattice))
+        h = u.values[n_max:]
+        modes = _sublattice(h)
+        got = np.zeros(n_max + 1, dtype=np.complex128)
+        got[modes] = _half_nonlinear(h[modes], _half_kernel(modes))
         expected = nonlinear_term(u).values[n_max:]
         # N vanishes identically only when every pair sum leaves the lattice;
         # the FFT then leaves round-off on the closure, measured against the
@@ -196,6 +206,7 @@ class TestHalfSpectrum:
                  or 3.0 * math.sqrt(n_max) * norm(u, NormSpec(1, 0.5)) ** 2)
         assert np.max(np.abs(got - expected)) <= 1e-14 * scale
         assert np.all(got[off_closure(u)] == 0.0)
+        return modes.size - 1
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(u=real_states())
@@ -207,6 +218,20 @@ class TestHalfSpectrum:
         self.check_against_convolution(random_real_sequence(lat, np.random.default_rng(41)))
         self.check_against_convolution(make_data(DataSpec(
             family=Family.SINGLE_PAIR, epsilon=0.02, rho=1.0, lattice=lat)))
+
+    @pytest.mark.parametrize("k_max", [_FFT_CROSSOVER - 1, _FFT_CROSSOVER])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_both_branches_at_crossover(self, k_max, step):
+        n_max = step * k_max + step - 1  # the largest lattice with N // step = k_max
+        lat = ModeLattice(n_max, 3 * n_max + 1)
+        u = random_real_sequence(lat, np.random.default_rng(k_max + step), step=step)
+        assert self.check_against_convolution(u) == k_max
+
+    def test_matches_convolution_fft_on_sublattice(self):
+        # carrier 2 on N = 512: the FFT branch on K = 256 sublattice modes
+        lat = ModeLattice(512, 1537)
+        u = random_real_sequence(lat, np.random.default_rng(42), step=2)
+        assert self.check_against_convolution(u) == 256
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(u=real_states(max_n=32), dt=st.floats(1e-5, 1e-3), sign=st.sampled_from((1, -1)))
@@ -223,11 +248,55 @@ class TestHalfSpectrum:
         u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.1, rho=1.0, lattice=lat))
         traj, _ = evolve(u0, SolverConfig(dt=5e-4, t_final=0.05, lattice=lat,
                                           record_every=20))
-        closure = set(_closure_modes(u0.support(), lat.n_max).tolist())
+        closure = set(set_closure(u0.support(), lat.n_max).tolist())
         assert closure == {n for n in range(-64, 65) if n and n % 10 == 0}
         for _, u in traj:
             assert set(u.support().tolist()) <= closure
         assert set(traj[-1][1].support().tolist()) == closure
+
+    @pytest.mark.parametrize("n_max", [60, 200])  # K = 20 and 66: both branches
+    def test_exact_zeros_off_sublattice(self, n_max):
+        lat = ModeLattice(n_max, 3 * n_max + 1)
+        u0 = random_real_sequence(lat, np.random.default_rng(n_max), scale=1e-3, step=3)
+        on = lat.modes % 3 == 0
+        on[n_max] = False
+        traj, _ = evolve(u0, SolverConfig(dt=1e-6, t_final=1e-5, lattice=lat,
+                                          record_every=4))
+        for u in [u for _, u in traj] + [kdv_step(u0, 1e-6), kdv_step(u0, -1e-6)]:
+            assert np.all(u.values[~on] == 0.0)
+            assert np.all(u.values[on] != 0.0)
+
+    @pytest.mark.parametrize("carrier, n_max, amp", [(10, 64, 0.2), (4, 512, 0.02)])
+    def test_scaling_oracle(self, carrier, n_max, amp):
+        # u(N0 k, t) = N0^{3/2} w(k, N0^3 t): a pair at carrier N0 on N modes
+        # is a pair at carrier 1 on N // N0 modes (K = 6: convolution;
+        # K = 128: FFT), evolved with dt and t scaled by N0^3
+        k_max = n_max // carrier
+        lat, lat_w = ModeLattice(n_max, 3 * n_max + 1), ModeLattice(k_max, 3 * k_max + 1)
+        u0 = sequence_from_modes(lat, {carrier: amp, -carrier: amp})
+        w0 = sequence_from_modes(lat_w, {1: amp * carrier**-1.5, -1: amp * carrier**-1.5})
+        dt, t_final = 1e-5, 4e-4
+        traj_u, _ = evolve(u0, SolverConfig(dt=dt, t_final=t_final, lattice=lat,
+                                            record_every=10))
+        traj_w, _ = evolve(w0, SolverConfig(dt=carrier**3 * dt, t_final=carrier**3 * t_final,
+                                            lattice=lat_w, record_every=10))
+        assert len(traj_u) == len(traj_w) == 5
+        for (t_u, u), (t_w, w) in zip(traj_u, traj_w):
+            assert t_w == pytest.approx(carrier**3 * t_u, rel=1e-14)
+            expected = carrier**1.5 * w.values
+            got = u.values[lat.n_max - carrier * lat_w.n_max:: carrier]
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            # the step spreads the pair over every harmonic it can reach
+            assert np.count_nonzero(w.values) == (2 * lat_w.n_max if t_w else 2)
+
+    def test_zero_state(self):
+        # the empty support: no sublattice mode is nonzero, and none becomes so
+        lat = ModeLattice(16, 49)
+        u0 = SpectralSequence(lat, np.zeros(lat.size, dtype=np.complex128))
+        assert _sublattice(u0.values[lat.n_max:]).tolist() == [0]
+        traj, _ = evolve(u0, SolverConfig(dt=1e-3, t_final=1e-2, lattice=lat))
+        assert np.all(traj[-1][1].values == 0.0)
+        assert np.all(kdv_step(u0, 1e-3).values == 0.0)
 
     def test_kdv_step_requires_real_type(self):
         u = SpectralSequence(LAT, np.zeros(LAT.size, dtype=np.complex128),
@@ -400,6 +469,9 @@ class TestEnvelope:
             envelope_evolve(u0, 1.0, steps=0)
         with pytest.raises(ValueError):
             envelope_evolve(u0, 1.0, record_every=0)
+        for t_final in (math.nan, math.inf):  # ran into SolverDivergenceError
+            with pytest.raises(ValueError, match="t_final"):
+                envelope_evolve(u0, t_final)
         bad = SpectralSequence(lat, np.zeros(lat.size, dtype=np.complex128),
                                real_type=False)
         with pytest.raises(ValueError):
