@@ -61,7 +61,7 @@ def _run_scan(scan_fn, args) -> int:
         return EXIT_BAD_CONFIG
     try:
         report = scan_fn(cfg)
-    except ValueError as exc:  # a closure past max_support, a dt past the budget
+    except ValueError as exc:  # a closure too dense for the envelope, a dt past the budget
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (SolverDivergenceError, FlowDivergenceError) as exc:

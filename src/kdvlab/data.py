@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ModeLattice, SpectralSequence, l2s_norm
+from .spectral import (ModeLattice, SpectralSequence, _full_lattice, _require_int,
+                       l2s_norm)
 
 # slack for floating-point saturation of the defining bounds
 _MEMBER_TOL = 1e-9
@@ -43,8 +44,8 @@ class DataSpec:
             raise ValueError(f"epsilon must lie in (0, 0.25], got {self.epsilon}")
         if self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be nonnegative, got {self.bandwidth}")
+        _require_int("bandwidth", self.bandwidth, 0)
+        _require_int("seed", self.seed, 0)
         n0 = self.carrier
         if n0 * (1 + self.bandwidth) > self.lattice.n_max // 2:
             raise ValueError(
@@ -89,13 +90,10 @@ def make_data(spec: DataSpec) -> SpectralSequence:
     lat = spec.lattice
     n0 = spec.carrier
     eps = spec.effective_epsilon
-    vals = np.zeros(lat.size, dtype=np.complex128)
 
     if spec.family is Family.SINGLE_PAIR:
         amp = spec.rho * math.sqrt(eps) / math.sqrt(2.0)
-        vals[lat.index(n0)] = amp
-        vals[lat.index(-n0)] = amp
-        return SpectralSequence(lat, vals, real_type=True)
+        return SpectralSequence(lat, _full_lattice(amp, n0, lat.n_max), real_type=True)
 
     band = np.arange(n0, n0 * (1 + spec.bandwidth) + 1)
     profile = band.astype(np.float64) ** -1.5
@@ -104,9 +102,7 @@ def make_data(spec: DataSpec) -> SpectralSequence:
         phases = np.exp(2j * math.pi * rng.random(band.size))
     else:
         phases = np.ones(band.size)
-    pos = profile * phases
-    vals[band + lat.n_max] = pos
-    vals[lat.n_max - band] = pos.conj()
+    vals = _full_lattice(profile * phases, band, lat.n_max)
     u = SpectralSequence(lat, vals, real_type=True)
     scale = spec.rho * math.sqrt(eps) / l2s_norm(u, 0.0)
     # keep the heavy-weight norm inside its bound too (n^{-3/2} profile leaves

@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,8 @@ from .hamiltonians import (F1, F2, H3, LAMBDA2, QUARTIC_RESONANT, eval_hamiltoni
                            fd_gradient, gradient, poisson_bracket)
 from .solver import (SolverConfig, envelope_evolve, evolve, kdv_step,
                      stability_budget)
-from .spectral import ModeLattice, SpectralSequence, l2s_norm, linear_phase
+from .spectral import (ModeLattice, SpectralSequence, _full_lattice, _is_finite_number,
+                       _require_int, l2s_norm, linear_phase)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -75,13 +75,12 @@ class ScanConfig:
     envelope_steps: int = 64
 
     def __post_init__(self) -> None:
-        if (isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral)
-                or self.workers < 1):
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        _require_int("workers", self.workers, 1)
+        if not _is_finite_number(self.haircut):
+            raise ValueError(f"haircut must be a finite number, got {self.haircut!r}")
         if self.integrator not in ("direct", "envelope"):
             raise ValueError("integrator must be 'direct' or 'envelope'")
-        if self.envelope_steps < 1:
-            raise ValueError("envelope_steps must be >= 1")
+        _require_int("envelope_steps", self.envelope_steps, 1)
         grid = tuple(float(e) for e in self.epsilon_grid)
         object.__setattr__(self, "epsilon_grid", grid)
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
@@ -331,10 +330,7 @@ def random_state(lattice: ModeLattice, rng: np.random.Generator,
     pos = np.arange(1, lattice.n_max + 1)
     z = (rng.standard_normal(pos.size) + 1j * rng.standard_normal(pos.size))
     z *= scale / pos
-    vals = np.zeros(lattice.size, dtype=np.complex128)
-    vals[lattice.n_max + 1:] = z
-    vals[:lattice.n_max] = z[::-1].conj()
-    return SpectralSequence(lattice, vals, real_type=True)
+    return SpectralSequence(lattice, _full_lattice(z, pos, lattice.n_max), real_type=True)
 
 
 def check_identities(n: int = 8, trials: int = 50, seed: int = 1) -> dict:

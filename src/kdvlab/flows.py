@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as data_mod
 from .hamiltonians import HamiltonianSpec, Functional, gradient, poisson_bracket
-from .spectral import SpectralSequence, l2s_norm
+from .spectral import SpectralSequence, _require_int, l2s_norm
 
 
 class FlowDivergenceError(RuntimeError):
@@ -28,8 +28,7 @@ class FlowConfig:
     substeps: int = 32
 
     def __post_init__(self) -> None:
-        if self.substeps < 8:
-            raise ValueError(f"substeps must be >= 8, got {self.substeps}")
+        _require_int("substeps", self.substeps, 8)
 
 
 @dataclass(frozen=True)

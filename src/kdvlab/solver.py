@@ -8,27 +8,31 @@ directly, with a Taylor branch near zero to avoid cancellation.  Plain
 integrating-factor RK4 suffers resonance instabilities at high carrier modes;
 ETDRK4 does not.
 
-evolve and kdv_step take real_type states and step the half spectrum on the
-sublattice of the initial support, the modes n = d k, k = 0..K = N // d, with
-d the gcd of the positive support modes (_sublattice); the other modes stay
-exact zeros.  This is the KdV scaling u(d k, t) = d^{3/2} w(k, d^3 t): a
-single pair at carrier N0 steps N // N0 + 1 modes, dense data all N + 1.
-The full lattice is rebuilt only when a state is recorded.  N(h) is an exact
-np.convolve of the mirrored half spectrum (hamiltonians._product) for
-K < _FFT_CROSSOVER, else a pseudospectral product on the alias-free grid of
-spectral._fft_size(K) points: the samples g of v = sum sqrt|n| u(n) e^{inx}
-by irfft, then N(h) = 3 i sqrt(n) rfft(g^2)[:K + 1].  nonlinear_term,
+Both integrators take real_type states and step one layout, the half
+spectrum on the sublattice of the initial support: the modes n = d k with d
+the gcd of the positive support modes (_sublattice), k = 0..K = N // d for
+evolve and kdv_step, k = 1..K for envelope_evolve's envelope.  The other
+modes stay exact zeros: this is the KdV scaling u(d k, t) = d^{3/2} w(k, d^3 t),
+and a single pair at carrier N0 has K = N // N0.  One time loop (_time_loop)
+runs both and rebuilds the full lattice (spectral._full_lattice) only to
+record a state, so every recorded state is exactly conjugate-symmetric.
+
+N(h) is an exact np.convolve of the mirrored half spectrum
+(hamiltonians._product) for K < _FFT_CROSSOVER, else a pseudospectral
+product on the alias-free grid of spectral._fft_size(K) points: the samples
+g of v = sum sqrt|n| u(n) e^{inx} by irfft, then
+N(h) = 3 i sqrt(n) rfft(g^2)[:K + 1].  nonlinear_term,
 N(u) = sigma(n) grad H3(u)(n) on the full lattice, is hamiltonians' exact
 convolution; the tests hold both branches to it.
 
-envelope_evolve's step contracts two static term tables, scattered by the
-np.bincount helper that also sums the quartic table (hamiltonians._scatter_add).
+envelope_evolve's step contracts two static term tables, for outputs n > 0
+only, scattered by the np.bincount helper that also sums the quartic table
+(hamiltonians._scatter_add).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +40,8 @@ import numpy as np
 from .hamiltonians import (H3, LAMBDA2, _h3_gradient_values, _product,
                            _scatter_add, eval_hamiltonian)
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
-                       _fft, _fft_size, l2s_norm, norm)
+                       _fft, _fft_size, _full_lattice, _is_finite_number,
+                       _mirror, _require_int, l2s_norm, norm)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -60,12 +65,7 @@ class SolverConfig:
             raise ValueError(f"dt must be a finite positive number, got {self.dt!r}")
         if not _is_finite_number(self.t_final) or self.t_final < 0.0:
             raise ValueError(f"t_final must be a finite number >= 0, got {self.t_final!r}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-
-def _is_finite_number(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+        _require_int("record_every", self.record_every, 1)
 
 
 @dataclass
@@ -132,19 +132,6 @@ def _half_nonlinear(h: np.ndarray, kernel: tuple) -> np.ndarray:
     fft = _fft()
     g = fft.irfft(w, size, norm="forward")
     return fac * fft.rfft(g * g, norm="forward")[:h.size]
-
-
-def _mirror(h: np.ndarray) -> np.ndarray:
-    """The full lattice values of the real_type state with half spectrum h."""
-    return np.concatenate((h[:0:-1].conj(), h))
-
-
-def _full_lattice(h: np.ndarray, modes: np.ndarray, n_max: int) -> np.ndarray:
-    """The full lattice values of the real_type state whose half spectrum is
-    h on modes and 0 elsewhere."""
-    half = np.zeros(n_max + 1, dtype=np.complex128)
-    half[modes] = h
-    return _mirror(half)
 
 
 def _phi123(z: np.ndarray) -> tuple:
@@ -243,27 +230,36 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
     modes = _sublattice(h)
     coeffs = _etd_coeffs(dt, modes)
     kernel = _half_kernel(modes)
+    return _time_loop(u0, modes, h[modes], steps, dt, cfg.record_every,
+                      lambda state, t0: _etdrk4_step(state, coeffs, kernel),
+                      lambda state, t: state)
 
-    h = h[modes]
-    trajectory = [(0.0, u0)]
-    diags = Diagnostics()
-    _record(diags, 0.0, u0)
+
+def _time_loop(u0: SpectralSequence, modes: np.ndarray, state: np.ndarray,
+               steps: int, dt: float, record_every: int, advance, half_at):
+    """(trajectory, diagnostics) of steps steps of size dt from u0: advance(state, t0)
+    steps from time t0, half_at(state, t) is the half spectrum on modes at time t.
+    A non-finite state raises SolverDivergenceError with the records made so far."""
+    lat = u0.lattice
+    trajectory, diags = [], Diagnostics()
+    _record(trajectory, diags, 0.0, u0)
     for step in range(1, steps + 1):
-        h = _etdrk4_step(h, coeffs, kernel)
-        if not np.all(np.isfinite(h)):
+        state = advance(state, (step - 1) * dt)
+        if not np.all(np.isfinite(state)):
             raise SolverDivergenceError(
                 f"non-finite state at t = {step * dt:.6g}",
                 trajectory=trajectory, diagnostics=diags,
             )
-        if step % cfg.record_every == 0 or step == steps:
+        if step % record_every == 0 or step == steps:
             t = step * dt
-            u = SpectralSequence(lat, _full_lattice(h, modes, lat.n_max), real_type=True)
-            trajectory.append((t, u))
-            _record(diags, t, u)
+            u = SpectralSequence(lat, _full_lattice(half_at(state, t), modes, lat.n_max),
+                                 real_type=True)
+            _record(trajectory, diags, t, u)
     return trajectory, diags
 
 
-def _record(diags: Diagnostics, t: float, u: SpectralSequence) -> None:
+def _record(trajectory: list, diags: Diagnostics, t: float, u: SpectralSequence) -> None:
+    trajectory.append((t, u))
     p, k, h = diagnostics_of(u)
     diags.times.append(t)
     diags.P.append(p)
@@ -300,12 +296,16 @@ class _EnvelopeStepper:
     and output n' = m1 + m2 + nj is p(m1) p(m2) p(nj) / p(n').  A step rotates
     b = p a, contracts two static tables of nonzero terms (the single-phase
     weights per pair, the double-phase weights per third mode and pair) and
-    rotates back with conj(p).
+    rotates back with conj(p).  As in evolve, a is a real_type state's
+    envelope on the positive sublattice modes: the tables hold the outputs
+    n > 0 only and read inputs of both signs from the conjugate mirror of b,
+    as p(-n) a(-n) = conj(p(n) a(n)).
     """
 
-    def __init__(self, modes: np.ndarray, n_max: int, h: float):
+    def __init__(self, pos: np.ndarray, n_max: int, h: float):
+        self.cubes = pos.astype(np.float64) ** 3
+        modes = np.concatenate((-pos[::-1], pos))
         size = modes.size
-        self.cubes = modes.astype(np.float64) ** 3
         # pair p = i * size + k holds (m1, m2) = (modes[i], modes[k])
         m1 = np.repeat(modes, size)
         m2 = np.tile(modes, size)
@@ -315,15 +315,16 @@ class _EnvelopeStepper:
         # delta1 != 0 (divided by below): no mode and no kept pair sum is 0
         delta1 = (-3 * msum * m1 * m2).astype(np.float64)
         ctil = 3j * np.sign(msum) * np.sqrt(np.abs(msum * m1 * m2).astype(np.float64))
-        # modes is sorted and sum-closed, so every valid sum has an index
-        self.first = (ctil * _osc_integral(delta1, h), pair,
-                      np.searchsorted(modes, msum))
+        # pos is sorted and sum-closed, so every positive sum has an index
+        out = msum > 0
+        self.first = ((ctil * _osc_integral(delta1, h))[out], pair[out],
+                      np.searchsorted(pos, msum[out]))
         # second order, one third mode nj = modes[j] at a time: the pair
         # forms n1 = m1 + m2 and the output n = n1 + nj
         second = []
         for j, nj in enumerate(modes):
             n_out = msum + nj
-            ok = (n_out != 0) & (np.abs(n_out) <= n_max)
+            ok = (n_out > 0) & (n_out <= n_max)
             n1, n_out, dprime = msum[ok], n_out[ok], delta1[ok]
             d_out = (-3 * n1 * nj * n_out).astype(np.float64)
             c_out = 3j * np.sign(n_out) * np.sqrt(np.abs(n_out * n1 * nj).astype(np.float64))
@@ -331,81 +332,57 @@ class _EnvelopeStepper:
             joint = (_osc_integral(d_out + dprime, h)
                      - _osc_integral(d_out, h)) / (1j * dprime)
             second.append((2.0 * c_out * ctil[ok] * joint, pair[ok],
-                           np.full(n_out.size, j), np.searchsorted(modes, n_out)))
+                           np.full(n_out.size, j), np.searchsorted(pos, n_out)))
         self.second = tuple(np.concatenate(column) for column in zip(*second))
 
     def step(self, a: np.ndarray, t0: float) -> np.ndarray:
         p = np.exp(1j * self.cubes * t0)
         b = p * a
-        bb = np.multiply.outer(b, b).ravel()
+        signed = np.concatenate((b[::-1].conj(), b))
+        bb = np.multiply.outer(signed, signed).ravel()
         update = np.zeros(a.size, dtype=np.complex128)
         coef, pair, out = self.first
         _scatter_add(update, out, coef * bb[pair])
         coef, pair, third, out = self.second
-        _scatter_add(update, out, coef * bb[pair] * b[third])
+        _scatter_add(update, out, coef * bb[pair] * signed[third])
         return a + p.conj() * update
 
 
+_MAX_SUPPORT = 128  # the densest closure envelope_evolve takes, both signs counted
+
+
 def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
-                    record_every: int = 1, max_support: int = 128):
+                    record_every: int = 1):
     """Integrate sparse data to t_final by oscillatory envelope quadrature.
 
-    Same return shape as evolve: (trajectory, diagnostics).  The state is
-    compressed to the sum-closure of its support, the nonzero modes of the
-    sublattice evolve steps on (_sublattice); cost per step is
-    O(S^3) for S support modes, independent of how fast the triad phases are.
-    Use for high-carrier states whose closure is genuinely sparse (the
-    max_support guard rejects dense closures, where direct stepping with
-    evolve is the right tool).
+    Same return shape as evolve: (trajectory, diagnostics).  The envelope
+    is stepped on the positive modes of the sum-closure of the support, the
+    nonzero modes of the sublattice evolve steps on (_sublattice); cost per
+    step is O(S^3) for S closure modes, independent of how fast the triad
+    phases are.  Use for high-carrier states whose closure is genuinely
+    sparse: a closure of more than _MAX_SUPPORT modes is rejected, because
+    direct stepping with evolve is the right tool for dense states.
     """
     if not u0.real_type:
         raise ValueError("envelope_evolve requires real_type initial data")
     if not _is_finite_number(t_final) or t_final < 0.0:
         raise ValueError(f"t_final must be a finite number >= 0, got {t_final!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    lat = u0.lattice
-    pos = _sublattice(u0.values[lat.n_max:])[1:]
-    modes = np.concatenate((-pos[::-1], pos))
-    if modes.size > max_support:
+    _require_int("steps", steps, 1)
+    _require_int("record_every", record_every, 1)
+    n_max = u0.lattice.n_max
+    pos = _sublattice(u0.values[n_max:])[1:]
+    if 2 * pos.size > _MAX_SUPPORT:
         raise ValueError(
-            f"support closure has {modes.size} modes > max_support = {max_support}; "
+            f"support closure has {2 * pos.size} modes > {_MAX_SUPPORT}; "
             "use evolve for dense states"
         )
-    trajectory = [(0.0, u0)]
-    diags = Diagnostics()
-    _record(diags, 0.0, u0)
-    if t_final == 0.0 or modes.size == 0:
-        return trajectory, diags
-    h = t_final / steps
-    stepper = _EnvelopeStepper(modes, lat.n_max, h)
-    index = modes + lat.n_max
-    a = u0.values[index]
-
-    def assemble(a_now: np.ndarray, t: float) -> SpectralSequence:
-        vals = np.zeros(lat.size, dtype=np.complex128)
-        phases = np.exp(1j * modes.astype(np.float64) ** 3 * t)
-        # the complex product written out as the scalar product rounds it:
-        # NumPy's vector complex multiply may fuse the multiply-adds
-        vals.real[index] = a_now.real * phases.real - a_now.imag * phases.imag
-        vals.imag[index] = a_now.real * phases.imag + a_now.imag * phases.real
-        return SpectralSequence(lat, vals, real_type=True)
-
-    for step in range(1, steps + 1):
-        a = stepper.step(a, (step - 1) * h)
-        if not np.all(np.isfinite(a)):
-            raise SolverDivergenceError(
-                f"non-finite envelope at t = {step * h:.6g}",
-                trajectory=trajectory, diagnostics=diags,
-            )
-        if step % record_every == 0 or step == steps:
-            t = step * h
-            u = assemble(a, t)
-            trajectory.append((t, u))
-            _record(diags, t, u)
-    return trajectory, diags
+    dt = t_final / steps
+    if t_final == 0.0 or pos.size == 0:  # nothing to step
+        steps = 0
+    advance = _EnvelopeStepper(pos, n_max, dt).step if steps else None
+    cubes = pos.astype(np.float64) ** 3
+    return _time_loop(u0, pos, u0.values[n_max + pos], steps, dt, record_every,
+                      advance, lambda a, t: a * np.exp(1j * cubes * t))
 
 
 def soliton_reference(kappa: float, t: float, x0: float, lattice: ModeLattice) -> GridFunction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -47,6 +48,16 @@ def _fft():
     loader.start()
     loader.join()
     return importlib.import_module("numpy.fft")
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Reject a value that is not an integer >= minimum; bools are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -80,13 +91,8 @@ class ModeLattice:
     m_samples: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.m_samples < 3 * self.n_max + 1:
-            raise ValueError(
-                f"m_samples must be >= 3*n_max + 1 = {3 * self.n_max + 1}, "
-                f"got {self.m_samples}"
-            )
+        _require_int("n_max", self.n_max, 1)
+        _require_int("m_samples", self.m_samples, 3 * self.n_max + 1)
 
     @property
     def modes(self) -> np.ndarray:
@@ -143,6 +149,20 @@ class SpectralSequence:
     def support(self) -> np.ndarray:
         """Modes with nonzero coefficient (exact zeros excluded)."""
         return self.lattice.modes[self.values != 0]
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full lattice values -N..N of the real_type state whose half
+    spectrum on modes 0..N is half: u(-n) = conj u(n)."""
+    return np.concatenate((half[:0:-1].conj(), half))
+
+
+def _full_lattice(h, modes, n_max: int) -> np.ndarray:
+    """_mirror of the half spectrum that is h on modes (in 0..n_max) and 0
+    elsewhere."""
+    half = np.zeros(n_max + 1, dtype=np.complex128)
+    half[modes] = h
+    return _mirror(half)
 
 
 def zero_sequence(lattice: ModeLattice, real_type: bool = True) -> SpectralSequence:
@@ -223,10 +243,7 @@ def weighted_from_physical(v: GridFunction) -> SpectralSequence:
     # (1/2pi) integral -> (1/M) sum for band-limited v
     vhat_pos = _fft().rfft(v.samples, norm="forward")[1:lat.n_max + 1]
     u_pos = _origin_phase(pos) * vhat_pos / np.sqrt(pos)
-    vals = np.zeros(lat.size, dtype=np.complex128)
-    vals[lat.n_max + 1:] = u_pos
-    vals[:lat.n_max] = u_pos[::-1].conj()
-    return SpectralSequence(lat, vals, real_type=True)
+    return SpectralSequence(lat, _full_lattice(u_pos, pos, lat.n_max), real_type=True)
 
 
 def physical_from_weighted(u: SpectralSequence) -> GridFunction:

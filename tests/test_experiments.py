@@ -234,6 +234,40 @@ class TestCli:
         assert main(["scan-theorem", "--config", cfg]) == 2
         assert "invalid config: workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("scan-theorem", None, "envelope_steps", 2.5),
+        ("scan-error", "flow", "substeps", 8.5),
+        ("scan-theorem", "lattice", "n_max", 64.5),
+        ("scan-transform", "data", "bandwidth", 1.5),
+        ("simulate", "data", "bandwidth", 1.5),
+        ("scan-transform", "data", "seed", 1.5),
+        ("scan-theorem", "solver", "record_every", 2.5),
+        ("scan-theorem", None, "haircut", "x"),
+        ("scan-theorem", None, "haircut", math.nan),
+    ])
+    def test_non_integer_or_non_finite_field_exit_code(self, tmp_path, capsys,
+                                                       command, section, field, value):
+        # each used to exit 1 (TypeError, IndexError), run on silently
+        # (record_every 2.5 recorded at multiples of 5) or pass NaN constants
+        doc = config_doc(epsilon_grid=[0.25, 0.2, 0.125, 0.1])
+        doc["data"] = {"family": "deterministic_band", "bandwidth": 1,
+                       "lattice": {"n_max": 64, "m_samples": 197}}
+        if field == "seed":
+            doc["data"]["family"] = "random_band"
+        target = {None: doc, "flow": doc.setdefault("flow", {}), "data": doc["data"],
+                  "lattice": doc["data"]["lattice"], "solver": doc["solver"]}[section]
+        target[field] = value
+        cfg = self._write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 2
+        assert f"invalid config: {field}" in capsys.readouterr().err
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        doc = config_doc(integrator="envelope", rho=1e3)
+        cfg = self._write_config(tmp_path, doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["scan-theorem", "--config", cfg]) == 4
+        assert "solver divergence: non-finite state" in capsys.readouterr().err
+
     def test_fit_subcommand(self, tmp_path, capsys):
         src = tmp_path / "points.csv"
         src.write_text("x,y\n0.1,0.01\n0.2,0.04\n0.4,0.16\n")

@@ -97,6 +97,16 @@ def real_states(draw, max_n=64):
     return SpectralSequence(lat, vals, real_type=True)
 
 
+def assert_records_before_failure(err, u0, dt):
+    """err holds u0 and the states recorded at each step before the failure."""
+    times = err.diagnostics.times
+    assert len(err.trajectory) == len(times) >= 2
+    assert err.trajectory[0][1] is u0
+    assert times == [t for t, _ in err.trajectory] == [k * dt for k in range(len(times))]
+    assert all(np.all(np.isfinite(u.values)) for _, u in err.trajectory)
+    assert str(err).endswith(f"t = {len(times) * dt:.6g}")
+
+
 def ramp_integral(omega, h):
     """int_0^h tau e^{i omega tau} dtau, exactly (omega = 0 gives h^2/2)."""
     out = np.full(omega.shape, 0.5 * h * h, dtype=np.complex128)
@@ -140,13 +150,14 @@ def loop_envelope_update(modes, n_max, h, a, t0):
 
 @st.composite
 def envelope_cases(draw):
-    """The sum-closure of 1-3 random modes on N <= 32, a random envelope, h, t0."""
+    """The sum-closure of 1-3 random modes and their negatives on N <= 32, a
+    random envelope on its positive modes, h, t0."""
     n_max = draw(st.integers(1, 32))
-    nonzero = [n for n in range(-n_max, n_max + 1) if n != 0]
-    support = draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=3, unique=True))
-    modes = set_closure(support, n_max)
+    support = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=3, unique=True))
+    modes = set_closure(support + [-n for n in support], n_max)
+    pos = modes[modes > 0]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
+    a = rng.standard_normal(pos.size) + 1j * rng.standard_normal(pos.size)
     h = draw(st.floats(1e-3, 0.5))
     t0 = draw(st.floats(0.0, 4.0))
     return modes, n_max, h, a, t0
@@ -368,6 +379,17 @@ class TestStepper:
         traj, diags = evolve(u, SolverConfig(dt=1e-3, t_final=0.0, lattice=LAT))
         assert [t for t, _ in traj] == [0.0] and diags.times == [0.0]
 
+    def test_divergence_keeps_records(self):
+        # a pair whose squares sit just below the overflow threshold, stepped
+        # within the budget: it overflows once it has spread into its
+        # harmonics, a few steps in
+        u0 = sequence_from_modes(LAT, {1: 4.5e153, -1: 4.5e153})
+        dt = 0.45 / stability_budget(u0, LAT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergenceError, match="non-finite state") as err:
+                evolve(u0, SolverConfig(dt=dt, t_final=400 * dt, lattice=LAT, record_every=1))
+        assert_records_before_failure(err.value, u0, dt)
+
 
 class TestDiagnostics:
     def test_cosine_oracle(self):
@@ -461,10 +483,10 @@ class TestEnvelope:
         assert drift < 1e-3
 
     def test_guards(self):
+        with pytest.raises(ValueError, match="closure has 130 modes > 128"):
+            envelope_evolve(sequence_from_modes(ModeLattice(65, 196), {1: 0.1, -1: 0.1}), 1.0)
         lat = ModeLattice(64, 193)
         u0 = sequence_from_modes(lat, {1: 0.1, -1: 0.1})
-        with pytest.raises(ValueError):
-            envelope_evolve(u0, 1.0, max_support=8)  # closure is dense
         with pytest.raises(ValueError):
             envelope_evolve(u0, 1.0, steps=0)
         with pytest.raises(ValueError):
@@ -477,6 +499,28 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope_evolve(bad, 1.0)
 
+    def test_divergence_keeps_records(self):
+        # at amplitude 1e3 the envelope rate is far above 1/h, so the explicit
+        # step grows the envelope until it overflows
+        lat = ModeLattice(64, 193)
+        u0 = sequence_from_modes(lat, {10: 1e3, -10: 1e3})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergenceError, match="non-finite state") as err:
+                envelope_evolve(u0, 1.0, steps=64)
+        assert_records_before_failure(err.value, u0, 1.0 / 64)
+
+    def test_records_are_conjugate_symmetric(self):
+        # every state recorded on AC6's lattice and config, exactly: the
+        # negative modes are the conjugate mirror of the stepped positive ones
+        lat = ModeLattice(512, 1537)
+        for eps in (0.04, 0.02, 0.01, 0.005):
+            u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=eps, rho=1.0,
+                                    lattice=lat))
+            traj, _ = envelope_evolve(u0, eps ** -0.25, steps=256)
+            assert len(traj) == 257
+            for _, u in traj:
+                assert np.array_equal(u.values[::-1].conj(), u.values)
+
     def test_zero_data(self):
         lat = ModeLattice(16, 49)
         u0 = SpectralSequence(lat, np.zeros(lat.size, dtype=np.complex128),
@@ -487,9 +531,11 @@ class TestEnvelope:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(case=envelope_cases())
     def test_step_matches_loop_oracle(self, case):
-        # the per-mode rotations round the phases n^3 t0 in place of Delta t0
+        # the per-mode rotations round the phases n^3 t0 in place of Delta t0;
+        # the stepper takes the positive modes, the oracle the mirrored envelope
         modes, n_max, h, a, t0 = case
-        expected = loop_envelope_update(modes, n_max, h, a, t0)
-        got = _EnvelopeStepper(modes, n_max, h).step(a, t0) - a
+        mirrored = np.concatenate((a[::-1].conj(), a))
+        expected = loop_envelope_update(modes, n_max, h, mirrored, t0)[a.size:]
+        got = _EnvelopeStepper(modes[a.size:], n_max, h).step(a, t0) - a
         rel = max(1e-12, 8 * 2.0**-52 * np.max(np.abs(modes)) ** 3 * t0)
         assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
