@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (ModeLattice, SpectralSequence, _full_lattice, _require_int,
-                       l2s_norm)
+from .spectral import (ModeLattice, SpectralSequence, _full_lattice, _is_finite_number,
+                       _require_int, l2s_norm)
 
 # slack for floating-point saturation of the defining bounds
 _MEMBER_TOL = 1e-9
@@ -40,10 +40,10 @@ class DataSpec:
     def __post_init__(self) -> None:
         fam = self.family if isinstance(self.family, Family) else Family(self.family)
         object.__setattr__(self, "family", fam)
-        if not 0.0 < self.epsilon <= 0.25:
-            raise ValueError(f"epsilon must lie in (0, 0.25], got {self.epsilon}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not _is_finite_number(self.epsilon) or not 0.0 < self.epsilon <= 0.25:
+            raise ValueError(f"epsilon must lie in (0, 0.25], got {self.epsilon!r}")
+        if not _is_finite_number(self.rho) or self.rho <= 0.0:
+            raise ValueError(f"rho must be a finite number > 0, got {self.rho!r}")
         _require_int("bandwidth", self.bandwidth, 0)
         _require_int("seed", self.seed, 0)
         n0 = self.carrier

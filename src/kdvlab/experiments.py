@@ -81,6 +81,8 @@ class ScanConfig:
         if self.integrator not in ("direct", "envelope"):
             raise ValueError("integrator must be 'direct' or 'envelope'")
         _require_int("envelope_steps", self.envelope_steps, 1)
+        if not all(_is_finite_number(s) for s in self.s_values):
+            raise ValueError(f"s_values must be finite numbers, got {self.s_values!r}")
         grid = tuple(float(e) for e in self.epsilon_grid)
         object.__setattr__(self, "epsilon_grid", grid)
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))

@@ -51,7 +51,8 @@ def _fft():
 
 
 def _is_finite_number(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """A finite real number; bools are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _require_int(name: str, value, minimum: int) -> None:

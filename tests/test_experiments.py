@@ -244,11 +244,21 @@ class TestCli:
         ("scan-theorem", "solver", "record_every", 2.5),
         ("scan-theorem", None, "haircut", "x"),
         ("scan-theorem", None, "haircut", math.nan),
+        ("simulate", "solver", "dt", True),
+        ("scan-theorem", None, "rho", math.nan),
+        ("scan-theorem", None, "rho", math.inf),
+        pytest.param("scan-theorem", None, "s_values", [0.0, math.nan],
+                     id="scan-theorem-None-s_values-nan"),
+        pytest.param("scan-theorem", None, "s_values", [0.0, math.inf],
+                     id="scan-theorem-None-s_values-inf"),
     ])
     def test_non_integer_or_non_finite_field_exit_code(self, tmp_path, capsys,
                                                        command, section, field, value):
         # each used to exit 1 (TypeError, IndexError), run on silently
-        # (record_every 2.5 recorded at multiples of 5) or pass NaN constants
+        # (record_every 2.5 recorded at multiples of 5, dt true stepped with
+        # dt = 1, s_values inf wrote NaN rows), pass NaN constants, or fail
+        # only after stepping (rho NaN diverged, s_values NaN left max() no
+        # points)
         doc = config_doc(epsilon_grid=[0.25, 0.2, 0.125, 0.1])
         doc["data"] = {"family": "deterministic_band", "bandwidth": 1,
                        "lattice": {"n_max": 64, "m_samples": 197}}

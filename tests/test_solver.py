@@ -7,7 +7,9 @@ Its sublattice is checked against the set-based fixed point of the sum-closure
 (set_closure).
 The envelope stepper is checked against the per-third-mode loop it replaced,
 which evaluates every triad phase e^{i Delta t0} on the full S x S pair grid
-and scatters with np.add.at.
+and scatters with np.add.at.  The recorded diagnostics, computed from the
+half spectrum on the sublattice, are checked against the full-lattice
+formulas they replaced (assert_diagnostics_match).
 """
 
 import math
@@ -18,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab.data import DataSpec, Family, make_data
-from kdvlab.hamiltonians import H3, gradient
+from kdvlab.hamiltonians import H3, LAMBDA2, eval_hamiltonian, gradient
 from kdvlab.solver import (_FFT_CROSSOVER, SolverConfig, SolverDivergenceError,
-                           _EnvelopeStepper, _half_kernel, _half_nonlinear,
-                           _osc_integral, _phi123, _sublattice, diagnostics_of,
-                           envelope_evolve, evolve, kdv_step, nonlinear_term,
-                           soliton_mean, soliton_reference, stability_budget)
+                           _EnvelopeStepper, _half_diagnostics, _half_kernel,
+                           _half_nonlinear, _osc_integral, _phi123, _sublattice,
+                           diagnostics_of, envelope_evolve, evolve, kdv_step,
+                           nonlinear_term, soliton_mean, soliton_reference,
+                           stability_budget)
 from kdvlab.spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                              l2s_norm, linear_phase, norm, sequence_from_modes,
                              weighted_from_physical)
@@ -105,6 +108,24 @@ def assert_records_before_failure(err, u0, dt):
     assert times == [t for t, _ in err.trajectory] == [k * dt for k in range(len(times))]
     assert all(np.all(np.isfinite(u.values)) for _, u in err.trajectory)
     assert str(err).endswith(f"t = {len(times) * dt:.6g}")
+
+
+# relative agreement of the half-spectrum diagnostics with the full lattice:
+# the same sums in another order, the H3 cube on a smaller grid
+DIAG_TOL = 1e-13
+
+
+def assert_diagnostics_match(u, k, h, h1):
+    """k, h, h1 agree with the full-lattice formulas K = 2 pi ||u||^2_{l^2_{1/2}},
+    H = 2 pi Im(Lambda2(u) + H3(u)) and ||u||_{l^2_{3/2}}; H is held relative
+    to the sum of its two parts' sizes, which may cancel."""
+    k_ref = 2.0 * math.pi * l2s_norm(u, 0.5) ** 2
+    lam = 2.0 * math.pi * eval_hamiltonian(LAMBDA2, u).imag
+    cubic = 2.0 * math.pi * eval_hamiltonian(H3, u).imag
+    h1_ref = l2s_norm(u, 1.5)
+    assert abs(k - k_ref) <= DIAG_TOL * k_ref
+    assert abs(h - (lam + cubic)) <= DIAG_TOL * (abs(lam) + abs(cubic))
+    assert abs(h1 - h1_ref) <= DIAG_TOL * h1_ref
 
 
 def ramp_integral(omega, h):
@@ -414,6 +435,43 @@ class TestDiagnostics:
         expected = 2.0 * math.pi * np.mean(0.5 * vx**2 + v**3)
         _, _, h = diagnostics_of(u)
         assert h == pytest.approx(expected, rel=1e-12)
+
+    def test_requires_real_type(self):
+        u = sequence_from_modes(LAT, {1: 1.0, -1: 1.0})
+        with pytest.raises(ValueError, match="real_type"):
+            diagnostics_of(SpectralSequence(LAT, u.values, real_type=False))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(u=real_states(), step=st.integers(1, 8))
+    def test_half_spectrum_matches_full_lattice(self, u, step):
+        # u kept on the multiples of step: a dense state (gcd 1), a sublattice
+        # state, or 1-3 pairs whose gcd is the sublattice
+        lat = u.lattice
+        u = SpectralSequence(lat, np.where(lat.modes % step == 0, u.values, 0.0))
+        half = u.values[lat.n_max:]
+        modes = _sublattice(half)
+        k, h, h1 = _half_diagnostics(half[modes], modes)
+        assert_diagnostics_match(u, k, h, h1)
+        assert diagnostics_of(u) == (0.0, k, h)
+
+    def test_evolve_records_match_full_lattice(self):
+        lat = ModeLattice(64, 193)
+        u0 = random_real_sequence(lat, np.random.default_rng(35))
+        traj, diags = evolve(u0, SolverConfig(dt=1e-4, t_final=0.01, lattice=lat,
+                                              record_every=10))
+        assert len(traj) == 11
+        for (_, u), k, h, h1 in zip(traj, diags.K, diags.H, diags.h1_weighted):
+            assert_diagnostics_match(u, k, h, h1)
+
+    def test_envelope_records_match_full_lattice(self):
+        # AC6's lattice and its first config, carrier 25
+        lat = ModeLattice(512, 1537)
+        u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.04, rho=1.0,
+                                lattice=lat))
+        traj, diags = envelope_evolve(u0, 0.04 ** -0.25, steps=256)
+        assert len(traj) == 257
+        for (_, u), k, h, h1 in zip(traj, diags.K, diags.H, diags.h1_weighted):
+            assert_diagnostics_match(u, k, h, h1)
 
 
 class TestSoliton:
