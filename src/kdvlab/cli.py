@@ -72,7 +72,11 @@ def _run_scan(scan_fn, args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
-    report = check_identities(n=args.n, trials=args.trials, seed=args.seed)
+    try:
+        report = check_identities(n=args.n, trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     for key, val in report.items():
         if isinstance(val, dict):
             for k2, v2 in val.items():

@@ -43,10 +43,13 @@ class SlopeFit:
 
 
 def slope_fit(points) -> SlopeFit:
-    """Ordinary least squares on (log x, log y); rejects nonpositive inputs."""
+    """Ordinary least squares on (log x, log y); rejects non-finite and
+    nonpositive inputs."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise ValueError("slope_fit needs at least 2 points")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ValueError("slope_fit requires finite coordinates")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("slope_fit requires strictly positive coordinates")
     lx = np.log([x for x, _ in pts])
@@ -206,8 +209,9 @@ def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanR
     measure(eps) returns a list of points (s, y, row): row is a report row,
     whose first entry is the effective epsilon, and y the deviation it fits.
     Rows are sorted by (epsilon, s).  For each s, in the order measure first
-    returns it, the log-log slope is fitted on the points with y > 0 and the
-    uniform constant is C(s) = max y / epsilon^exponent(s).
+    returns it, the log-log slope is fitted on the finite points with y > 0,
+    so slope_fit never rejects a scan's points, and the uniform constant is
+    C(s) = max y / epsilon^exponent(s).
     """
     results = _run_tasks(cfg.epsilon_grid, measure, cfg.workers)
     points = [p for eps in cfg.epsilon_grid for p in results[eps]]
@@ -216,7 +220,7 @@ def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanR
     report = ScanReport(kind=kind, columns=columns, rows=[row for _, _, row in points])
     for s in s_order:
         pts = [(row[0], y) for s_p, y, row in points if s_p == s]
-        positive = [(e, y) for e, y in pts if y > 0]
+        positive = [(e, y) for e, y in pts if math.isfinite(y) and y > 0]
         if len(positive) >= 2:
             report.fits[s] = slope_fit(positive)
         report.constants[s] = max(y / e ** exponent(s) for e, y in pts)
@@ -340,8 +344,12 @@ def check_identities(n: int = 8, trials: int = 50, seed: int = 1) -> dict:
 
     Returns a report dict with an 'ok' flag; residual tolerances are 1e-11
     (identity I, relative to ||q||^3_{l^2_1}) and 1e-10 (identity II, relative
-    to the largest participating term).
+    to the largest participating term).  Raises ValueError unless n >= 1,
+    trials >= 1 and seed >= 0 are integers.
     """
+    _require_int("n", n, 1)
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed, 0)
     report = {}
 
     # exhaustive triple factorization, |n_i| <= 64

@@ -11,7 +11,12 @@ skipped by exact integer test.
 
 One kernel per degree.  Every quadratic term (grad H3, grad F1, f1_apply and
 solver.nonlinear_term, N(u) = sigma grad H3) is one spectral product,
-_product, an exact np.convolve.  These stay off the FFT on purpose: flows
+_product, an exact np.convolve, run on the gcd sublattice of its input
+(_on_sublattice): for inputs on d Z (spectral._sublattice_gcd; for f1_apply
+the gcd of both arguments' d) it convolves the 2K + 1 modes d k,
+|k| <= K = N // d, and every other mode is an exact zero.  Single-pair data
+at carrier N0 keeps every state of the F1 and F2 flows on N0 Z, so N // N0
+modes stand in for N.  These stay off the FFT on purpose: flows
 evaluate them on sparse states whose exact zeros key the quartic table cache
 (an FFT would leave round-off on every mode), and nonlinear_term is the
 oracle the tests hold both branches of the solver's sublattice stepper to:
@@ -36,12 +41,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .spectral import ModeLattice, SpectralSequence, _fft, _fft_size
+from .spectral import ModeLattice, SpectralSequence, _fft, _fft_size, _sublattice_gcd
 
 
 class Kind(enum.Enum):
@@ -338,14 +344,15 @@ def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
     return complex(sum(np.sum(w * reflected[m]) for w, m in terms))
 
 
-def _cubic_weights(kind: Kind, vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
+def _cubic_weights(kind: Kind, vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """w with H3 = i sum w(n1) w(n2) w(n3) and F1 = (1/3) sum w(n1) w(n2) w(n3)
-    over zero-sum triples: w = sqrt|n| q for H3, sigma(n) q / sqrt|n| for F1."""
-    n = lat.modes
-    absn = np.abs(n).astype(np.float64)
+    over zero-sum triples: w = sqrt|n| q for H3, sigma(n) q / sqrt|n| for F1,
+    for q given on modes."""
+    absn = np.abs(modes).astype(np.float64)
     if kind is Kind.H3:
         return np.sqrt(absn) * vals
-    return np.where(n != 0, _sgn(n) * vals / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
+    return np.where(modes != 0,
+                    _sgn(modes) * vals / np.sqrt(np.where(modes == 0, 1.0, absn)), 0.0)
 
 
 _CUBIC_CONSTANT = {Kind.H3: 1j, Kind.F1: 1.0 / 3.0}
@@ -364,7 +371,7 @@ def _cubic_value(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
     if spec.kind not in _CUBIC_CONSTANT:
         raise ValueError(f"no degree-3 value rule for {spec.kind}")
     lat = q.lattice
-    w = _cubic_weights(spec.kind, q.values, lat)
+    w = _cubic_weights(spec.kind, q.values, lat.modes)
     size = _fft_size(lat.n_max)
     if spec.kind is Kind.H3 and q.real_type:
         grid = _fft().irfft(w[lat.n_max:], size, norm="forward")
@@ -388,30 +395,65 @@ def _product(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     return np.convolve(a, b)[n_max: 3 * n_max + 1]
 
 
-def _h3_gradient_values(vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
-    """grad H3 on raw lattice values: 3 i sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| q(n1) q(n2)."""
-    root = np.sqrt(np.abs(lat.modes).astype(np.float64))
-    w = root * vals
-    out = 3j * root * _product(w, w, lat.n_max)
-    out[lat.n_max] = 0.0
+def _on_sublattice(term: Callable[..., np.ndarray], *vals: np.ndarray) -> np.ndarray:
+    """A quadratic term of the states vals on the sublattice d Z that carries
+    them all: d is the gcd of their spectral._sublattice_gcd.
+
+    term(modes, *v) evaluates the term on the 2K + 1 modes d k, |k| <= K = N // d,
+    from the values v there: the compact slice vals[N % d :: d].  Its result
+    is scattered into zeros, so every mode off d Z is an exact 0.0, as in the
+    full convolution of the sparse states; d = 0, all states zero, gives zeros.
+    """
+    n_max = vals[0].size // 2
+    d = math.gcd(*(_sublattice_gcd(v, n_max) for v in vals))
+    out = np.zeros(vals[0].size, dtype=np.complex128)
+    if d:
+        on = slice(n_max % d, None, d)
+        out[on] = term(np.arange(-n_max, n_max + 1)[on], *(v[on] for v in vals))
     return out
+
+
+def _signed_inv_root(modes: np.ndarray) -> np.ndarray:
+    """sigma(n) / sqrt|n|, zero at n = 0."""
+    return _sgn(modes) / np.sqrt(np.maximum(np.abs(modes), 1).astype(np.float64))
+
+
+def _h3_gradient_terms(modes: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """grad H3 = 3 i sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| q(n1) q(n2) on modes -K..K."""
+    root = np.sqrt(np.abs(modes).astype(np.float64))
+    w = root * vals
+    return 3j * root * _product(w, w, modes.size // 2)
+
+
+def _f1_gradient_terms(modes: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """grad F1 = -sigma(n)/sqrt|n| sum_{n1+n2=n} z(n1) z(n2), z the F1 weights."""
+    z = _cubic_weights(Kind.F1, vals, modes)
+    return -_signed_inv_root(modes) * _product(z, z, modes.size // 2)
+
+
+def _f1_apply_terms(modes: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """f1(q1, q2)(n) = sigma(n)/sqrt|n| sum_{n1+n2=-n} z1(n1) z2(n2)."""
+    z1 = _cubic_weights(Kind.F1, v1, modes)
+    z2 = _cubic_weights(Kind.F1, v2, modes)
+    return _signed_inv_root(modes) * _product(z1, z2, modes.size // 2)[::-1]
+
+
+def _h3_gradient_values(vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
+    """grad H3 on raw lattice values, on the sublattice that carries them."""
+    return _on_sublattice(_h3_gradient_terms, vals)
 
 
 def gradient(spec: HamiltonianSpec, q: SpectralSequence) -> SpectralSequence:
     """Gradient sequence n -> d(spec)/dq(-n); non-real_type in general."""
     lat = q.lattice
-    n = lat.modes
     vals = q.values
-    absn = np.abs(n).astype(np.float64)
 
     if spec.kind is Kind.LAMBDA2:
-        out = 1j * absn**3 * vals
+        out = 1j * np.abs(lat.modes).astype(np.float64) ** 3 * vals
     elif spec.kind is Kind.H3:
         out = _h3_gradient_values(vals, lat)
     elif spec.kind is Kind.F1:
-        z = _cubic_weights(Kind.F1, vals, lat)
-        inv = np.where(n != 0, _sgn(n) / np.sqrt(np.where(n == 0, 1.0, absn)), 0.0)
-        out = -inv * _product(z, z, lat.n_max)
+        out = _on_sublattice(_f1_gradient_terms, vals)
     elif spec.degree == 4:
         out = _gradient_quartic(spec, lat, vals)
     else:
@@ -483,17 +525,10 @@ def poisson_bracket(a: Functional, b: Functional, q: SpectralSequence,
 # ---------------------------------------------------------------------------
 
 def f1_apply(q1: SpectralSequence, q2: SpectralSequence) -> SpectralSequence:
-    """f1(q1, q2)(n) = sum_{n1+n2+n=0} sigma(n1 n2 n)/sqrt|n1 n2 n| q1(n1) q2(n2)."""
-    lat = q1.lattice
-    n = lat.modes
-    absn = np.abs(n).astype(np.float64)
-    safe = np.where(n == 0, 1.0, absn)
-    z1 = _sgn(n) * q1.values / np.sqrt(safe)
-    z2 = _sgn(n) * q2.values / np.sqrt(safe)
-    conv = _product(z1, z2, lat.n_max)
-    out = _sgn(n) / np.sqrt(safe) * conv[::-1]
-    out[lat.n_max] = 0.0
-    return SpectralSequence(lat, out, real_type=False)
+    """f1(q1, q2)(n) = sum_{n1+n2+n=0} sigma(n1 n2 n)/sqrt|n1 n2 n| q1(n1) q2(n2),
+    on the sublattice gcd(d1, d2) Z of the arguments' sublattices d1 Z, d2 Z."""
+    return SpectralSequence(q1.lattice, _on_sublattice(_f1_apply_terms, q1.values, q2.values),
+                            real_type=False)
 
 
 def f2_apply(q1: SpectralSequence, q2: SpectralSequence, q3: SpectralSequence) -> SpectralSequence:

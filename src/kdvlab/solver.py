@@ -43,7 +43,7 @@ import numpy as np
 from .hamiltonians import _h3_gradient_values, _product, _scatter_add
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        _fft, _fft_size, _full_lattice, _is_finite_number,
-                       _mirror, _require_int, norm)
+                       _mirror, _require_int, _sublattice_gcd, norm)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -104,14 +104,10 @@ _FFT_CROSSOVER = 64
 
 def _sublattice(h: np.ndarray) -> np.ndarray:
     """The modes 0, d, 2d, ... <= N of the sublattice d Z that carries the
-    real_type state with half spectrum h = u[N:]: d is the gcd of its nonzero
-    modes, and the zero state keeps the zero mode only.
-
-    The sum-closure of a conjugate-symmetric support with gcd d is exactly
-    d Z in [-N, N] minus 0 (for 0 < a < b in it, so is b - a: Euclid reaches
-    d), so KdV keeps the state there; the zero state's closure is empty.
+    real_type state with half spectrum h = u[N:], d = spectral._sublattice_gcd(h);
+    the zero state, whose closure is empty, keeps the zero mode only.
     """
-    return np.arange(0, h.size, int(np.gcd.reduce(np.flatnonzero(h))) or h.size)
+    return np.arange(0, h.size, _sublattice_gcd(h) or h.size)
 
 
 def _half_kernel(modes: np.ndarray) -> tuple:

@@ -61,6 +61,18 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _sublattice_gcd(values: np.ndarray, zero: int = 0) -> int:
+    """d of the sublattice d Z that carries values, whose slot i holds mode
+    i - zero: the gcd of the nonzero modes, 0 for the zero state.
+
+    A product of states on d1 Z and d2 Z lives on gcd(d1, d2) Z, and the
+    sum-closure of a conjugate-symmetric support with gcd d is exactly
+    d Z in [-N, N] minus 0 (for 0 < a < b in it, so is b - a: Euclid
+    reaches d).  So KdV and the normal-form flows keep a state on d Z.
+    """
+    return int(np.gcd.reduce(np.flatnonzero(values) - zero))
+
+
 @functools.lru_cache(maxsize=64)
 def _fft_size(n_max: int) -> int:
     """Smallest 5-smooth integer L >= 3 n_max + 1.

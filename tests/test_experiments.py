@@ -60,6 +60,14 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             slope_fit([(1.0, 1.0), (2.0, -1.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # used to return a NaN slope
+        with pytest.raises(ValueError, match="finite"):
+            slope_fit([(1.0, 2.0), (2.0, bad), (3.0, 4.0)])
+        with pytest.raises(ValueError, match="finite"):
+            slope_fit([(1.0, 2.0), (bad, 3.0), (3.0, 4.0)])
+
 
 class TestScanConfig:
     def test_grid_validation(self):
@@ -287,6 +295,22 @@ class TestCli:
         assert "slope: " in captured
         assert float(captured.split("slope: ")[1].splitlines()[0]) == pytest.approx(
             2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_non_finite_exit_code(self, tmp_path, capsys, bad):
+        # used to exit 0 and print "slope: nan"
+        src = tmp_path / "points.csv"
+        src.write_text(f"x,y\n1,2\n2,{bad}\n3,4\n")
+        assert main(["fit", "--input", str(src), "--x-col", "x", "--y-col", "y"]) == 2
+        assert "invalid input: slope_fit requires finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-3"), ("--seed", "-1"),
+                                             ("--trials", "0"), ("--trials", "-1")])
+    def test_check_identities_bad_argument_exit_code(self, capsys, flag, value):
+        # --n and --seed used to exit 1 with a traceback; --trials 0 and -1
+        # ran no trial and reported ok
+        assert main(["check-identities", flag, value]) == 2
+        assert f"invalid config: {flag[2:]} must be an integer" in capsys.readouterr().err
 
     def test_json_emission(self, tmp_path):
         cfg = self._write_config(tmp_path, config_doc())

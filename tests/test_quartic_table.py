@@ -9,6 +9,11 @@ against a literal triple sum, and the solver's sublattice (the gcd of a
 support) against the set-based fixed point of its sum-closure.  Errors are
 measured against the sum of the absolute values of the terms, so cancelling
 sums are not over-weighted.
+
+The quadratic terms (grad H3, grad F1, nonlinear_term and f1_apply) run on the
+compact slice of the sublattice d Z that carries their inputs.  Their oracle
+is the full-lattice np.convolve of the same formulas, which reaches every
+mode whatever the support.
 """
 
 import math
@@ -19,9 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import hamiltonians
+from kdvlab.data import DataSpec, Family
+from kdvlab.experiments import ScanConfig, scan_near_identity
 from kdvlab.hamiltonians import (F1, F2, H3, QUARTIC_RESONANT, HamiltonianSpec, _f2_raw,
-                                 eval_hamiltonian, f1_apply, f2_apply, gradient)
-from kdvlab.solver import _sublattice
+                                 _h3_gradient_values, eval_hamiltonian, f1_apply,
+                                 f2_apply, gradient)
+from kdvlab.solver import SolverConfig, _sublattice, nonlinear_term
 from kdvlab.spectral import ModeLattice, SpectralSequence
 
 TOL = 1e-13
@@ -254,6 +262,108 @@ def test_f1_apply_matches_double_sum(qs):
     scale = np.max(sum_f1_apply(lat, *vals, magnitude=True).real)
     err = np.max(np.abs(f1_apply(*qs).values - sum_f1_apply(lat, *vals)))
     assert err <= TOL * scale
+
+
+def full_convolution(term, lat, v1, v2, magnitude=False):
+    """A quadratic term on the full lattice, outer(n) sum_{n1+n2=n} w1(n1) w2(n2)
+    with (w1, w2, outer) = term(modes, v1, v2); f1_apply's sum runs over
+    n1 + n2 = -n.  The sum of |terms| if magnitude."""
+    w1, w2, outer = term(lat.modes, v1, v2)
+    if magnitude:
+        w1, w2, outer = np.abs(w1), np.abs(w2), np.abs(outer)
+    conv = np.convolve(w1, w2)[lat.n_max: 3 * lat.n_max + 1]
+    if term is f1_apply_formula:
+        conv = conv[::-1]
+    out = outer * conv
+    out[lat.n_max] = 0.0
+    return out
+
+
+def root(n):
+    return np.sqrt(np.abs(n).astype(np.float64))
+
+
+def signed_inv_root(n):
+    return np.sign(n) / np.sqrt(np.maximum(np.abs(n), 1).astype(np.float64))
+
+
+def h3_gradient_formula(n, v1, v2):
+    return root(n) * v1, root(n) * v2, 3j * root(n)
+
+
+def nonlinear_formula(n, v1, v2):
+    return root(n) * v1, root(n) * v2, 3j * np.sign(n) * root(n)
+
+
+def f1_gradient_formula(n, v1, v2):
+    return signed_inv_root(n) * v1, signed_inv_root(n) * v2, -signed_inv_root(n)
+
+
+def f1_apply_formula(n, v1, v2):
+    return signed_inv_root(n) * v1, signed_inv_root(n) * v2, signed_inv_root(n)
+
+
+@st.composite
+def sublattice_states(draw, n_max, kind):
+    """A state on a random subset of the modes of d Z, d in 1..N//2; kind is
+    "real_type", "complex" or "zero".  Amplitudes come from a seeded
+    generator, so no two terms cancel exactly by accident."""
+    lat = ModeLattice(n_max, 3 * n_max + 1)
+    d = draw(st.integers(1, n_max // 2))
+    vals = np.zeros(lat.size, dtype=np.complex128)
+    if kind != "zero":
+        on = [k for k in range(-n_max, n_max + 1) if k % d == 0 and k != 0]
+        modes = np.array(draw(st.lists(st.sampled_from(on), min_size=1, unique=True)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vals[modes + n_max] = rng.standard_normal(modes.size) + 1j * rng.standard_normal(modes.size)
+        if kind == "real_type":
+            vals = vals + vals[::-1].conj()
+    return d, SpectralSequence(lat, vals, real_type=kind == "real_type")
+
+
+def assert_matches_convolution(got, term, lat, v1, v2):
+    expected = full_convolution(term, lat, v1, v2)
+    np.testing.assert_array_equal(got == 0, expected == 0)
+    scale = full_convolution(term, lat, v1, v2, magnitude=True).real
+    assert np.all(np.abs(got - expected) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("kind", ["real_type", "complex", "zero"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_quadratic_terms_match_full_convolution(kind, data):
+    # q1 on d1 Z and q2 on another sublattice d2 Z, d1 != d2; f1_apply(q1, q2)
+    # lives on gcd(d1, d2) Z, which neither argument alone gives
+    n_max = data.draw(st.integers(4, 64))
+    d1, q1 = data.draw(sublattice_states(n_max, kind))
+    _, q2 = data.draw(sublattice_states(n_max, "complex").filter(lambda s: s[0] != d1))
+    lat, v1, v2 = q1.lattice, q1.values, q2.values
+    assert_matches_convolution(_h3_gradient_values(v1, lat), h3_gradient_formula, lat, v1, v1)
+    assert_matches_convolution(gradient(H3, q1).values, h3_gradient_formula, lat, v1, v1)
+    assert_matches_convolution(nonlinear_term(q1).values, nonlinear_formula, lat, v1, v1)
+    assert_matches_convolution(gradient(F1, q1).values, f1_gradient_formula, lat, v1, v1)
+    assert_matches_convolution(f1_apply(q1, q2).values, f1_apply_formula, lat, v1, v2)
+    assert_matches_convolution(f1_apply(q2, q1).values, f1_apply_formula, lat, v2, v1)
+
+
+def test_f2_supports_on_transform_scan(monkeypatch):
+    # AC4's config: the flows keep single-pair data on the carrier's
+    # sublattice, so grad F2 sees few supports and its table cache hits
+    supports = []
+    quartic = hamiltonians._gradient_quartic
+
+    def recording(spec, lat, vals):
+        supports.append(np.flatnonzero(vals).tobytes())
+        return quartic(spec, lat, vals)
+
+    monkeypatch.setattr(hamiltonians, "_gradient_quartic", recording)
+    lat = ModeLattice(256, 769)
+    scan_near_identity(ScanConfig(
+        epsilon_grid=(0.1, 0.05, 0.025, 0.0125), rho=1.0, horizon_exponent=0.25,
+        s_values=(0.0, 0.5, 1.0),
+        data=DataSpec(family=Family.SINGLE_PAIR, epsilon=0.1, rho=1.0, lattice=lat),
+        solver=SolverConfig(dt=1e-4, t_final=1.0, lattice=lat)))
+    assert (len(supports), len(set(supports))) == (512, 13)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -1,0 +1,84 @@
+"""Kernel invariants of the package source, read from its syntax trees.
+
+Each module of src/kdvlab is parsed with ast, so names in docstrings and
+comments do not count.  The rules:
+
+- exactly one np.convolve call, in hamiltonians._product: every quadratic
+  term is that one exact spectral product;
+- no np.add.at: scatters are np.bincount (hamiltonians._scatter_add);
+- numpy.fft is reached only through spectral._fft, which imports it on a
+  helper thread.  An np.fft access on the main thread could meet a signal
+  handler that re-enters NumPy's lazy numpy.fft import and recurses without
+  end (see tests/test_dependencies.py).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kdvlab"
+FFT_GATE = ("spectral", "_fft")
+
+
+def _walk(node, scope):
+    """(scope, node) for every node below node; scope is the dotted name of
+    the enclosing function or class, "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _walk(child, inner)
+
+
+def _nodes():
+    """(module, scope, node) over every module of the package."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _walk(tree, ""):
+            yield path.stem, scope, node
+
+
+def _dotted(node) -> str:
+    """"np.fft.rfft" for an attribute chain on a name, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _is_numpy_fft(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return _dotted(node) in ("np.fft", "numpy.fft")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        mod = node.module or ""
+        return mod.startswith("numpy.fft") or (
+            mod == "numpy" and any(alias.name == "fft" for alias in node.names))
+    # importlib.import_module("numpy.fft") and the like
+    return isinstance(node, ast.Constant) and node.value == "numpy.fft"
+
+
+def test_one_convolution_in_product():
+    sites = [(module, scope) for module, scope, node in _nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "convolve"]
+    assert sites == [("hamiltonians", "_product")]
+
+
+def test_no_add_at():
+    sites = [(module, scope) for module, scope, node in _nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "add"]
+    assert sites == []
+
+
+def test_numpy_fft_only_behind_gate():
+    sites = [(module, scope) for module, scope, node in _nodes()
+             if _is_numpy_fft(node)]
+    assert sites and set(sites) == {FFT_GATE}
