@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid config, 3 acceptance residual exceeded,
-4 solver divergence.
+Exit codes: 0 success, 2 invalid config (max_constants included, checked
+before any work) or an --output path that cannot be written, 3 acceptance
+residual exceeded, 4 solver divergence.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .data import make_data
@@ -17,6 +19,7 @@ from .experiments import (ScanReport, check_identities, config_from_dict,
                           scan_near_identity, slope_fit)
 from .flows import FlowDivergenceError
 from .solver import SolverConfig, SolverDivergenceError, evolve
+from .spectral import _is_finite_number
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -29,19 +32,42 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(report: ScanReport, args) -> None:
-    text = report.to_json() if args.json else report.to_csv()
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
+def _write_output(text: str, path) -> int:
+    """Write text to path, or to stdout without one; a path that cannot be
+    written is EXIT_BAD_CONFIG with a one-line message."""
+    if not path:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    return EXIT_OK
 
 
-def _check_constants(report: ScanReport, doc: dict) -> int:
+def _max_constants(doc: dict) -> dict:
+    """{s: limit} of the config's optional max_constants object, whose keys
+    are finite numbers written as strings and whose limits are finite numbers."""
     limits = doc.get("max_constants", {})
+    if not isinstance(limits, dict):
+        raise ValueError(f"max_constants must be an object, got {limits!r}")
+    out = {}
     for key, limit in limits.items():
-        s = float(key)
+        try:
+            s = float(key)
+        except ValueError:
+            s = math.nan
+        if not math.isfinite(s) or not _is_finite_number(limit):
+            raise ValueError(
+                f"max_constants must map finite s to finite limits, got {key!r}: {limit!r}")
+        out[s] = limit
+    return out
+
+
+def _check_constants(report: ScanReport, limits: dict) -> int:
+    for s, limit in limits.items():
         if s in report.constants and report.constants[s] > limit:
             print(
                 f"acceptance residual exceeded: C(s={s}) = "
@@ -56,6 +82,7 @@ def _run_scan(scan_fn, args) -> int:
     try:
         doc = _load_config(args.config)
         cfg = config_from_dict(doc)
+        limits = _max_constants(doc)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -67,8 +94,8 @@ def _run_scan(scan_fn, args) -> int:
     except (SolverDivergenceError, FlowDivergenceError) as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    _emit(report, args)
-    return _check_constants(report, doc)
+    text = report.to_json() if args.json else report.to_csv()
+    return _write_output(text, args.output) or _check_constants(report, limits)
 
 
 def _cmd_check_identities(args) -> int:
@@ -106,15 +133,10 @@ def _cmd_simulate(args) -> int:
     except SolverDivergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    out = sys.stdout if not args.output else open(args.output, "w", newline="")
-    try:
-        out.write("time,P,K,H,h1_weighted\n")
-        for row in zip(diags.times, diags.P, diags.K, diags.H, diags.h1_weighted):
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if args.output:
-            out.close()
-    return EXIT_OK
+    rows = zip(diags.times, diags.P, diags.K, diags.H, diags.h1_weighted)
+    text = "time,P,K,H,h1_weighted\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    return _write_output(text, args.output)
 
 
 def _cmd_fit(args) -> int:

@@ -14,11 +14,13 @@ the gcd of the positive support modes (_sublattice), k = 0..K = N // d for
 evolve and kdv_step, k = 1..K for envelope_evolve's envelope.  The other
 modes stay exact zeros: this is the KdV scaling u(d k, t) = d^{3/2} w(k, d^3 t),
 and a single pair at carrier N0 has K = N // N0.  One time loop (_time_loop)
-runs both and rebuilds the full lattice (spectral._full_lattice) only to
-record a state, so every recorded state is exactly conjugate-symmetric.  A
-record's K, H and ||u||_{l^2_{3/2}} come from the half spectrum on the
-sublattice (_half_diagnostics), in O(K) rather than O(N); diagnostics_of is
-the same formula for a given state.
+runs both.  A record is O(K): its time, the half spectrum on the sublattice,
+and K, H and ||u||_{l^2_{3/2}} computed from that half spectrum
+(_half_diagnostics; diagnostics_of is the same formula for a given state).
+The trajectory (_Trajectory) rebuilds a full-lattice state
+(spectral._full_lattice) only when an item is read, so every state a caller
+sees is exactly conjugate-symmetric and has passed the SpectralSequence
+checks.
 
 N(h) is an exact np.convolve of the mirrored half spectrum
 (hamiltonians._product) for K < _FFT_CROSSOVER, else a pseudospectral
@@ -36,6 +38,7 @@ sums the quartic table (hamiltonians._scatter_add).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,23 +194,30 @@ def kdv_step(u: SpectralSequence, dt: float) -> SpectralSequence:
     return SpectralSequence(u.lattice, _full_lattice(h, modes, n_max), real_type=True)
 
 
-def _half_diagnostics(half: np.ndarray, modes: np.ndarray) -> tuple:
-    """(K, H, ||u||_{l^2_{3/2}}) of the real_type u on d Z whose half spectrum
-    is h = half on the sublattice modes n = d k, by exact quadrature over
-    n > 0 (the mirror doubles each sum): K = 2 pi ||u||^2_{l^2_{1/2}} =
-    4 pi sum n |h|^2 and H = 2 pi Im(Lambda2(u) + H3(u)) =
-    2 pi (sum n^3 |h|^2 + (1/L) sum_j G_j^3), with G the irfft of sqrt(n) h at
-    slot k = n / d on L = _fft_size(K) points: hamiltonians._cubic_value's
-    grid cube, alias-free on the sublattice.
-    """
+def _diagnostics_kernel(modes: np.ndarray) -> tuple:
+    """(n, n^3, sqrt(n), slots, K, L) of _half_diagnostics on the sublattice
+    modes n = d k: slots k = n / d, K the largest slot and L = _fft_size(K)."""
     n = modes.astype(np.float64)
-    power = half.real ** 2 + half.imag ** 2
-    cubed = float(power @ n ** 3)
     slots = modes // (int(np.gcd.reduce(modes)) or 1)
     k_max = int(slots.max(initial=0))
+    return n, n ** 3, np.sqrt(n), slots, k_max, _fft_size(k_max)
+
+
+def _half_diagnostics(half: np.ndarray, kernel: tuple) -> tuple:
+    """(K, H, ||u||_{l^2_{3/2}}) of the real_type u on d Z whose half spectrum
+    is h = half on the sublattice modes n = d k of kernel
+    (_diagnostics_kernel), by exact quadrature over n > 0 (the mirror doubles
+    each sum): K = 2 pi ||u||^2_{l^2_{1/2}} = 4 pi sum n |h|^2 and
+    H = 2 pi Im(Lambda2(u) + H3(u)) = 2 pi (sum n^3 |h|^2 + (1/L) sum_j G_j^3),
+    with G the irfft of sqrt(n) h at slot k = n / d on L = _fft_size(K)
+    points: hamiltonians._cubic_value's grid cube, alias-free on the
+    sublattice.
+    """
+    n, cubes, root, slots, k_max, size = kernel
+    power = half.real ** 2 + half.imag ** 2
+    cubed = float(power @ cubes)
     w = np.zeros(k_max + 1, dtype=np.complex128)
-    w[slots] = np.sqrt(n) * half
-    size = _fft_size(k_max)
+    w[slots] = root * half
     grid = _fft().irfft(w, size, norm="forward")
     # grid * grid * grid: np.power with exponent 3 is ~20x slower
     cubic = float(np.sum(grid * grid * grid)) / size
@@ -227,16 +237,17 @@ def diagnostics_of(u: SpectralSequence) -> tuple:
         raise ValueError("diagnostics_of requires a real_type state")
     half = u.values[u.lattice.n_max:]
     modes = _sublattice(half)
-    k, h, _ = _half_diagnostics(half[modes], modes)
+    k, h, _ = _half_diagnostics(half[modes], _diagnostics_kernel(modes))
     return 0.0, k, h
 
 
 def evolve(u0: SpectralSequence, cfg: SolverConfig):
     """Integrate to t_final; returns (trajectory, diagnostics).
 
-    The trajectory is a list of (t, SpectralSequence) recorded every
-    record_every steps (plus the initial and final states).  The step count is
-    rounded so the final time is hit exactly.
+    The trajectory is a read-only sequence (_Trajectory) of (t,
+    SpectralSequence) recorded every record_every steps (plus the initial and
+    final states); item 0 is u0 itself.  The step count is rounded so the
+    final time is hit exactly.
     """
     if not u0.real_type:
         raise ValueError("evolve requires real_type initial data")
@@ -261,35 +272,62 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
                       lambda state, t: state)
 
 
+class _Trajectory(Sequence):
+    """The (t, SpectralSequence) records of one run, read-only.
+
+    A record keeps its time and the half spectrum on the run's sublattice
+    modes, O(K).  Reading an item builds its full-lattice state
+    (spectral._full_lattice) through the SpectralSequence constructor, anew
+    at every read; item 0 is the run's u0 itself.  Negative indices count
+    from the end, and a slice is a plain list of (t, state) pairs.
+    """
+
+    def __init__(self, u0: SpectralSequence, modes: np.ndarray, records: list):
+        self._u0 = u0
+        self._modes = modes
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        t, half = self._records[i]
+        if i == 0:
+            return t, self._u0
+        lat = self._u0.lattice
+        return t, SpectralSequence(lat, _full_lattice(half, self._modes, lat.n_max),
+                                   real_type=True)
+
+
 def _time_loop(u0: SpectralSequence, modes: np.ndarray, state: np.ndarray,
                steps: int, dt: float, record_every: int, advance, half_at):
     """(trajectory, diagnostics) of steps steps of size dt from u0: advance(state, t0)
     steps from time t0, half_at(state, t) is the half spectrum on modes at time t.
     A non-finite state raises SolverDivergenceError with the records made so far."""
-    lat = u0.lattice
-    trajectory, diags = [], Diagnostics()
-    _record(trajectory, diags, 0.0, u0,
-            _half_diagnostics(u0.values[lat.n_max + modes], modes))
+    records, diags = [], Diagnostics()
+    kernel = _diagnostics_kernel(modes)
+    _record(records, diags, 0.0, u0.values[u0.lattice.n_max + modes], kernel)
     for step in range(1, steps + 1):
         state = advance(state, (step - 1) * dt)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise SolverDivergenceError(
                 f"non-finite state at t = {step * dt:.6g}",
-                trajectory=trajectory, diagnostics=diags,
+                trajectory=_Trajectory(u0, modes, records), diagnostics=diags,
             )
         if step % record_every == 0 or step == steps:
             t = step * dt
-            half = half_at(state, t)
-            u = SpectralSequence(lat, _full_lattice(half, modes, lat.n_max), real_type=True)
-            _record(trajectory, diags, t, u, _half_diagnostics(half, modes))
-    return trajectory, diags
+            _record(records, diags, t, half_at(state, t), kernel)
+    return _Trajectory(u0, modes, records), diags
 
 
-def _record(trajectory: list, diags: Diagnostics, t: float, u: SpectralSequence,
-            values: tuple) -> None:
-    """Append u at time t and its diagnostics values = (K, H, h1) (P = 0)."""
-    k, h, h1 = values
-    trajectory.append((t, u))
+def _record(records: list, diags: Diagnostics, t: float, half: np.ndarray,
+            kernel: tuple) -> None:
+    """Append the half spectrum at time t and its diagnostics (P = 0)."""
+    k, h, h1 = _half_diagnostics(half, kernel)
+    records.append((t, half))
     diags.times.append(t)
     diags.P.append(0.0)
     diags.K.append(k)
@@ -388,7 +426,8 @@ def envelope_evolve(u0: SpectralSequence, t_final: float, steps: int = 64,
                     record_every: int = 1):
     """Integrate sparse data to t_final by oscillatory envelope quadrature.
 
-    Same return shape as evolve: (trajectory, diagnostics).  The envelope
+    Same return shape as evolve: (trajectory, diagnostics), the trajectory a
+    read-only sequence (_Trajectory) of (t, SpectralSequence).  The envelope
     is stepped on the positive modes of the sum-closure of the support, the
     nonzero modes of the sublattice evolve steps on (_sublattice); cost per
     step is O(S^3) for S closure modes, independent of how fast the triad

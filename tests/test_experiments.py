@@ -208,6 +208,33 @@ class TestCli:
         out = tmp_path / "r.csv"
         assert main(["scan-theorem", "--config", cfg, "--output", str(out)]) == 3
 
+    @pytest.mark.parametrize("limits", [
+        [0.5], 0.6, {"x": 0.6}, {"0.5": "big"}, {"0.5": None}, {"0.5": True},
+        {"0.5": math.nan}, {"nan": 0.6},
+    ], ids=["list", "number", "key-x", "limit-string", "limit-null", "limit-true",
+            "limit-nan", "key-nan"])
+    def test_bad_max_constants_exit_code(self, tmp_path, capsys, limits):
+        # a list, a number, a non-numeric key and a string or null limit used to
+        # exit 1 with a traceback after the whole scan; true and NaN limits and
+        # a NaN key compared silently
+        cfg = self._write_config(tmp_path, config_doc(max_constants=limits))
+        out = tmp_path / "r.csv"
+        assert main(["scan-theorem", "--config", cfg, "--output", str(out)]) == 2
+        assert "invalid config: max_constants" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the scan ran
+
+    @pytest.mark.parametrize("command", ["scan-theorem", "simulate"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+        # used to exit 1 with a FileNotFoundError traceback
+        doc = config_doc()
+        doc["solver"]["t_final"] = 0.01
+        cfg = self._write_config(tmp_path, doc)
+        out = tmp_path / "missing" / "out.csv"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert str(out) in err
+
     def test_simulate(self, tmp_path):
         doc = config_doc()
         doc["solver"]["t_final"] = 0.01

@@ -22,14 +22,15 @@ from hypothesis import strategies as st
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, LAMBDA2, eval_hamiltonian, gradient
 from kdvlab.solver import (_FFT_CROSSOVER, SolverConfig, SolverDivergenceError,
-                           _EnvelopeStepper, _half_diagnostics, _half_kernel,
+                           _diagnostics_kernel, _EnvelopeStepper, _etd_coeffs,
+                           _etdrk4_step, _half_diagnostics, _half_kernel,
                            _half_nonlinear, _osc_integral, _phi123, _sublattice,
                            diagnostics_of, envelope_evolve, evolve, kdv_step,
                            nonlinear_term, soliton_mean, soliton_reference,
                            stability_budget)
 from kdvlab.spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
-                             l2s_norm, linear_phase, norm, sequence_from_modes,
-                             weighted_from_physical)
+                             _fft, _fft_size, _full_lattice, l2s_norm, linear_phase,
+                             norm, sequence_from_modes, weighted_from_physical)
 from test_quartic_table import set_closure
 
 LAT = ModeLattice(16, 49)
@@ -107,6 +108,8 @@ def assert_records_before_failure(err, u0, dt):
     assert err.trajectory[0][1] is u0
     assert times == [t for t, _ in err.trajectory] == [k * dt for k in range(len(times))]
     assert all(np.all(np.isfinite(u.values)) for _, u in err.trajectory)
+    assert err.trajectory[-1][0] == times[-1]
+    assert [t for t, _ in err.trajectory[1:]] == times[1:]
     assert str(err).endswith(f"t = {len(times) * dt:.6g}")
 
 
@@ -450,7 +453,7 @@ class TestDiagnostics:
         u = SpectralSequence(lat, np.where(lat.modes % step == 0, u.values, 0.0))
         half = u.values[lat.n_max:]
         modes = _sublattice(half)
-        k, h, h1 = _half_diagnostics(half[modes], modes)
+        k, h, h1 = _half_diagnostics(half[modes], _diagnostics_kernel(modes))
         assert_diagnostics_match(u, k, h, h1)
         assert diagnostics_of(u) == (0.0, k, h)
 
@@ -472,6 +475,139 @@ class TestDiagnostics:
         assert len(traj) == 257
         for (_, u), k, h, h1 in zip(traj, diags.K, diags.H, diags.h1_weighted):
             assert_diagnostics_match(u, k, h, h1)
+
+
+def per_record_diagnostics(half, modes):
+    """_half_diagnostics with its constants recomputed from the modes at
+    every record, as each record once did."""
+    n = modes.astype(np.float64)
+    power = half.real ** 2 + half.imag ** 2
+    cubed = float(power @ n ** 3)
+    slots = modes // (int(np.gcd.reduce(modes)) or 1)
+    k_max = int(slots.max(initial=0))
+    w = np.zeros(k_max + 1, dtype=np.complex128)
+    w[slots] = np.sqrt(n) * half
+    size = _fft_size(k_max)
+    grid = _fft().irfft(w, size, norm="forward")
+    cubic = float(np.sum(grid * grid * grid)) / size
+    return (4.0 * math.pi * float(power @ n), 2.0 * math.pi * (cubed + cubic),
+            math.sqrt(2.0 * cubed))
+
+
+def eager_run(u0, modes, state, steps, dt, record_every, advance, half_at):
+    """(times, states, diagnostics) of a time loop that builds each record's
+    full-lattice state as it records it."""
+    lat = u0.lattice
+    times, states = [0.0], [u0]
+    values = [per_record_diagnostics(u0.values[lat.n_max + modes], modes)]
+    for step in range(1, steps + 1):
+        state = advance(state, (step - 1) * dt)
+        if step % record_every == 0 or step == steps:
+            t = step * dt
+            half = half_at(state, t)
+            times.append(t)
+            states.append(SpectralSequence(lat, _full_lattice(half, modes, lat.n_max),
+                                           real_type=True))
+            values.append(per_record_diagnostics(half, modes))
+    return times, states, values
+
+
+def assert_same_run(out, expected):
+    """The trajectory and diagnostics of out equal the eager run's exactly."""
+    traj, diags = out
+    times, states, values = expected
+    assert [t for t, _ in traj] == diags.times == times
+    for (_, u), ref in zip(traj, states, strict=True):
+        assert np.array_equal(u.values, ref.values)
+    assert list(zip(diags.K, diags.H, diags.h1_weighted)) == values
+    assert diags.P == [0.0] * len(times)
+
+
+class TestRecords:
+    """Records keep the half spectrum on the sublattice; the trajectory builds
+    a full-lattice state when an item is read, the same state the eager
+    build gave."""
+
+    @pytest.mark.parametrize("n_max, step", [(64, 1), (60, 3), (200, 3)])
+    def test_evolve_states_match_eager_build(self, n_max, step):
+        # d = 1 and d = 3, K = 20 (convolution) and 66 (FFT)
+        lat = ModeLattice(n_max, 3 * n_max + 1)
+        u0 = random_real_sequence(lat, np.random.default_rng(n_max + step), step=step)
+        steps, t_final = 60, 60 * 1e-5
+        out = evolve(u0, SolverConfig(dt=1e-5, t_final=t_final, lattice=lat,
+                                      record_every=7))
+        modes = _sublattice(u0.values[n_max:])
+        dt = t_final / steps  # the dt evolve steps with
+        coeffs, kernel = _etd_coeffs(dt, modes), _half_kernel(modes)
+        assert_same_run(out, eager_run(
+            u0, modes, u0.values[n_max + modes], steps, dt, 7,
+            lambda h, t0: _etdrk4_step(h, coeffs, kernel), lambda h, t: h))
+
+    @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
+    def test_envelope_states_match_eager_build(self, eps):
+        # AC6's lattice and configs
+        lat = ModeLattice(512, 1537)
+        u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=eps, rho=1.0,
+                                lattice=lat))
+        t_final, steps = eps ** -0.25, 256
+        out = envelope_evolve(u0, t_final, steps=steps)
+        pos = _sublattice(u0.values[lat.n_max:])[1:]
+        dt = t_final / steps
+        cubes = pos.astype(np.float64) ** 3
+        assert_same_run(out, eager_run(
+            u0, pos, u0.values[lat.n_max + pos], steps, dt, 1,
+            _EnvelopeStepper(pos, lat.n_max, dt).step,
+            lambda a, t: a * np.exp(1j * cubes * t)))
+
+    def test_sequence_protocol(self):
+        lat = ModeLattice(64, 193)
+        u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.1, rho=1.0,
+                                lattice=lat))
+        traj, diags = evolve(u0, SolverConfig(dt=5e-4, t_final=0.01, lattice=lat,
+                                              record_every=5))
+        states = list(traj)
+        assert len(traj) == len(states) == 5
+        assert [t for t, _ in states] == diags.times
+        assert traj[0][1] is u0 and traj[-5][1] is u0
+        t_last, u_last = traj[-1]
+        assert t_last == diags.times[-1] == traj[4][0]
+        assert np.array_equal(u_last.values, states[-1][1].values)
+        assert u_last is not traj[-1][1]  # built anew at every read
+        head = traj[:-1]
+        assert type(head) is list and [t for t, _ in head] == diags.times[:-1]
+        assert head[0][1] is u0
+        assert [t for t, _ in traj[::-2]] == diags.times[::-2]
+        assert traj[7:] == []
+        extended = traj[:-1] + [(t_last, u0)]
+        assert type(extended) is list and len(extended) == 5 and extended[-1][1] is u0
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                traj[index]
+        with pytest.raises(TypeError):
+            traj[0] = (0.0, u0)
+
+    def test_no_state_built_until_read(self, monkeypatch):
+        # a 256-step envelope run on N = 512 constructs no SpectralSequence;
+        # each read constructs one, except item 0, which is u0
+        lat = ModeLattice(512, 1537)
+        u0 = make_data(DataSpec(family=Family.SINGLE_PAIR, epsilon=0.04, rho=1.0,
+                                lattice=lat))
+        built = []
+        post_init = SpectralSequence.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SpectralSequence, "__post_init__", counting)
+        traj, _ = envelope_evolve(u0, 0.04 ** -0.25, steps=256)
+        assert len(traj) == 257 and built == []
+        traj[0]
+        assert built == []
+        _, u = traj[-1]
+        assert built == [u]
+        list(traj)
+        assert len(built) == 257
 
 
 class TestSoliton:

@@ -9,7 +9,10 @@ comments do not count.  The rules:
 - numpy.fft is reached only through spectral._fft, which imports it on a
   helper thread.  An np.fft access on the main thread could meet a signal
   handler that re-enters NumPy's lazy numpy.fft import and recurses without
-  end (see tests/test_dependencies.py).
+  end (see tests/test_dependencies.py);
+- the solver's time loop (solver._time_loop and the _record it appends
+  through) calls neither SpectralSequence nor _full_lattice, so a record
+  stays O(K): the trajectory builds full-lattice states only when read.
 """
 
 import ast
@@ -82,3 +85,14 @@ def test_numpy_fft_only_behind_gate():
     sites = [(module, scope) for module, scope, node in _nodes()
              if _is_numpy_fft(node)]
     assert sites and set(sites) == {FFT_GATE}
+
+
+def test_time_loop_builds_no_full_state():
+    loop = ("_time_loop", "_record")
+    scopes = {scope for module, scope, _ in _nodes() if module == "solver"}
+    assert set(loop) <= scopes
+    sites = [(scope, _dotted(node.func)) for module, scope, node in _nodes()
+             if module == "solver" and scope.split(".")[0] in loop
+             and isinstance(node, ast.Call)
+             and _dotted(node.func).split(".")[-1] in ("SpectralSequence", "_full_lattice")]
+    assert sites == []
