@@ -14,7 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,14 +177,7 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 def _data_spec_for(cfg: ScanConfig, eps: float) -> DataSpec:
-    return DataSpec(
-        family=cfg.data.family,
-        epsilon=eps,
-        rho=cfg.rho,
-        lattice=cfg.data.lattice,
-        bandwidth=cfg.data.bandwidth,
-        seed=cfg.data.seed,
-    )
+    return replace(cfg.data, epsilon=eps, rho=cfg.rho)
 
 
 def _solver_for(cfg: ScanConfig, u0: SpectralSequence, t_final: float) -> SolverConfig:

@@ -3,6 +3,8 @@
 The flow of a generator F solves dw(n)/dtau = sigma(n) dF/dw(-n) from w(0) = q;
 the time-1 maps of F1 and F2 compose into the near-identity change of variables
 u = Phi_{F1} o Phi_{F2}(q) and its inverse (negative-time integration).
+Each RK4 stage is sigma(n) times hamiltonians._gradient_values on a raw
+value array; the one SpectralSequence a flow builds is its result.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .hamiltonians import HamiltonianSpec, Functional, gradient, poisson_bracket
+from .hamiltonians import (F1, F2, Functional, HamiltonianSpec, _gradient_values,
+                           eval_hamiltonian, poisson_bracket)
 from .spectral import SpectralSequence, _require_int, l2s_norm
 
 
@@ -38,12 +41,6 @@ class TransformReport:
     membership_after: bool
 
 
-def _vector_field(spec: HamiltonianSpec, lat, values: np.ndarray) -> np.ndarray:
-    w = SpectralSequence(lat, values, real_type=False)
-    g = gradient(spec, w).values
-    return np.sign(lat.modes) * g
-
-
 def flow(spec: HamiltonianSpec, q: SpectralSequence, tau: float,
          cfg: FlowConfig = FlowConfig()) -> SpectralSequence:
     """Integrate the flow of spec for time tau with fixed-step RK4.
@@ -52,14 +49,15 @@ def flow(spec: HamiltonianSpec, q: SpectralSequence, tau: float,
     value mid-flow (data outside the near-identity regime).
     """
     lat = q.lattice
+    sign = np.sign(lat.modes)
     w = q.values.copy()
     h = tau / cfg.substeps
     guard = 10.0 * max(l2s_norm(q, 0.0), 1e-300)
     for _ in range(cfg.substeps):
-        k1 = _vector_field(spec, lat, w)
-        k2 = _vector_field(spec, lat, w + 0.5 * h * k1)
-        k3 = _vector_field(spec, lat, w + 0.5 * h * k2)
-        k4 = _vector_field(spec, lat, w + h * k3)
+        k1 = sign * _gradient_values(spec, w)
+        k2 = sign * _gradient_values(spec, w + 0.5 * h * k1)
+        k3 = sign * _gradient_values(spec, w + 0.5 * h * k2)
+        k4 = sign * _gradient_values(spec, w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(w)) or math.sqrt(float(np.sum(np.abs(w) ** 2))) > guard:
             raise FlowDivergenceError(
@@ -71,13 +69,11 @@ def flow(spec: HamiltonianSpec, q: SpectralSequence, tau: float,
 
 def u_of_q(q: SpectralSequence, cfg: FlowConfig = FlowConfig()) -> SpectralSequence:
     """Composed change of variables u = Phi^1_{F1}(Phi^1_{F2}(q))."""
-    from .hamiltonians import F1, F2
     return flow(F1, flow(F2, q, 1.0, cfg), 1.0, cfg)
 
 
 def q_of_u(u: SpectralSequence, cfg: FlowConfig = FlowConfig()) -> SpectralSequence:
     """Inverse change of variables q = Phi^{-1}_{F2}(Phi^{-1}_{F1}(u))."""
-    from .hamiltonians import F1, F2
     return flow(F2, flow(F1, u, -1.0, cfg), -1.0, cfg)
 
 
@@ -112,8 +108,6 @@ def taylor_check(h: HamiltonianSpec, f: HamiltonianSpec, q: SpectralSequence,
     """
     if k > 3:
         raise ValueError("finite-difference nesting supports k <= 3")
-    from .hamiltonians import eval_hamiltonian
-
     lhs = eval_hamiltonian(h, flow(f, q, 1.0, cfg))
 
     def bracket_power(depth: int) -> Functional:

@@ -35,6 +35,10 @@ weighted by q(-m).  Tables live in an LRU cache of 8 keyed on
 RK4 stage, evaluates coefficients only when a support is first seen.  A
 support of more than 64 modes (2^18 ordered triples, the entry budget) is
 contracted block by block and not cached; a cached table takes at most 8 MiB.
+
+Kernels take raw value arrays of the modes -N..N, N = vals.size // 2.  The
+flows, solver.nonlinear_term and poisson_bracket call the gradient kernel
+_gradient_values directly; gradient is its validated public wrapper.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .spectral import ModeLattice, SpectralSequence, _fft, _fft_size, _sublattice_gcd
+from .spectral import SpectralSequence, _fft, _fft_size, _sublattice_gcd
 
 
 class Kind(enum.Enum):
@@ -305,11 +309,12 @@ def _quartic_terms(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
         yield coef * q1[i1] * q23[p], m
 
 
-def _quartic_sum(spec: HamiltonianSpec, lat: ModeLattice, support: np.ndarray,
+def _quartic_sum(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
                  *qs: np.ndarray) -> np.ndarray:
-    """The quartic contraction: the terms of _quartic_terms summed per output mode."""
-    out = np.zeros(lat.size, dtype=np.complex128)
-    for w, m in _quartic_terms(spec, lat.n_max, support, *qs):
+    """The quartic contraction on modes -n_max..n_max: the terms of
+    _quartic_terms summed per output mode."""
+    out = np.zeros(2 * n_max + 1, dtype=np.complex128)
+    for w, m in _quartic_terms(spec, n_max, support, *qs):
         _scatter_add(out, m, w)
     return out
 
@@ -438,36 +443,29 @@ def _f1_apply_terms(modes: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.nda
     return _signed_inv_root(modes) * _product(z1, z2, modes.size // 2)[::-1]
 
 
-def _h3_gradient_values(vals: np.ndarray, lat: ModeLattice) -> np.ndarray:
-    """grad H3 on raw lattice values, on the sublattice that carries them."""
-    return _on_sublattice(_h3_gradient_terms, vals)
+def _gradient_values(spec: HamiltonianSpec, vals: np.ndarray) -> np.ndarray:
+    """grad spec on raw values of the modes -N..N, N = vals.size // 2: the
+    kernel behind gradient, the flows, nonlinear_term and the bracket."""
+    n_max = vals.size // 2
+    if spec.kind is Kind.LAMBDA2:
+        return 1j * np.abs(np.arange(-n_max, n_max + 1)).astype(np.float64) ** 3 * vals
+    if spec.kind is Kind.H3:
+        return _on_sublattice(_h3_gradient_terms, vals)
+    if spec.kind is Kind.F1:
+        return _on_sublattice(_f1_gradient_terms, vals)
+    if spec.kind is Kind.QUARTIC_RESONANT:
+        # d/dq(-n) of (3/2) i sum_m q(m)^2 q(-m)^2
+        return 6j * vals * vals * vals[::-1]
+    if spec.degree == 4:
+        support = np.flatnonzero(vals)
+        qs = vals[support]
+        return 4.0 * _quartic_sum(spec, n_max, support, qs, qs, qs)
+    raise ValueError(f"no gradient rule for {spec.kind}")
 
 
 def gradient(spec: HamiltonianSpec, q: SpectralSequence) -> SpectralSequence:
     """Gradient sequence n -> d(spec)/dq(-n); non-real_type in general."""
-    lat = q.lattice
-    vals = q.values
-
-    if spec.kind is Kind.LAMBDA2:
-        out = 1j * np.abs(lat.modes).astype(np.float64) ** 3 * vals
-    elif spec.kind is Kind.H3:
-        out = _h3_gradient_values(vals, lat)
-    elif spec.kind is Kind.F1:
-        out = _on_sublattice(_f1_gradient_terms, vals)
-    elif spec.degree == 4:
-        out = _gradient_quartic(spec, lat, vals)
-    else:
-        raise ValueError(f"no gradient rule for {spec.kind}")
-    return SpectralSequence(lat, out, real_type=False)
-
-
-def _gradient_quartic(spec: HamiltonianSpec, lat: ModeLattice, vals: np.ndarray) -> np.ndarray:
-    if spec.kind is Kind.QUARTIC_RESONANT:
-        # d/dq(-n) of (3/2) i sum_m q(m)^2 q(-m)^2
-        return 6j * vals * vals * vals[::-1]
-    support = np.flatnonzero(vals)
-    qs = vals[support]
-    return 4.0 * _quartic_sum(spec, lat, support, qs, qs, qs)
+    return SpectralSequence(q.lattice, _gradient_values(spec, q.values), real_type=False)
 
 
 Functional = Union[HamiltonianSpec, Callable[[SpectralSequence], complex]]
@@ -502,7 +500,7 @@ def fd_gradient(func: Callable[[SpectralSequence], complex], q: SpectralSequence
 
 def _gradient_of(a: Functional, q: SpectralSequence, fd_step: float | None) -> np.ndarray:
     if isinstance(a, HamiltonianSpec):
-        return gradient(a, q).values
+        return _gradient_values(a, q.values)
     return fd_gradient(a, q, fd_step).values
 
 
@@ -545,5 +543,5 @@ def f2_apply(q1: SpectralSequence, q2: SpectralSequence, q3: SpectralSequence) -
     lat = q1.lattice
     args = (q1.values, q2.values, q3.values)
     support = np.flatnonzero(np.any(args, axis=0))
-    out = _quartic_sum(_F2_TRILINEAR, lat, support, *(v[support] for v in args))
+    out = _quartic_sum(_F2_TRILINEAR, lat.n_max, support, *(v[support] for v in args))
     return SpectralSequence(lat, out[::-1], real_type=False)

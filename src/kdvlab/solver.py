@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import _h3_gradient_values, _product, _scatter_add
+from .hamiltonians import H3, _gradient_values, _product, _scatter_add
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        _fft, _fft_size, _full_lattice, _is_finite_number,
                        _mirror, _require_int, _sublattice_gcd, norm)
@@ -91,7 +91,7 @@ def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
     """N(u)(n) = 3 i sigma(n) sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| u(n1) u(n2)."""
     lat = u.lattice
     # N(u) = sigma(n) grad H3(u)(n): the flow of H3 in the canonical bracket
-    vals = np.sign(lat.modes) * _h3_gradient_values(u.values, lat)
+    vals = np.sign(lat.modes) * _gradient_values(H3, u.values)
     return SpectralSequence(lat, vals, u.real_type)
 
 

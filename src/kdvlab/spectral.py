@@ -117,6 +117,9 @@ class ModeLattice:
         return 2 * self.n_max + 1
 
     def index(self, n) -> int:
+        """Slot of mode n; ValueError for a mode outside -n_max..n_max."""
+        if not -self.n_max <= n <= self.n_max:
+            raise ValueError(f"mode {n} outside lattice")
         return n + self.n_max
 
     def grid(self) -> np.ndarray:
@@ -124,12 +127,13 @@ class ModeLattice:
         return -math.pi + TWO_PI * j / self.m_samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSequence:
     """Complex coefficients u(n) on a mode lattice.
 
     real_type marks sequences representing real functions, for which
     u(-n) = conj(u(n)).  The zero mode is forced to zero on construction.
+    Two sequences are equal when lattice, real_type and values are.
     """
 
     lattice: ModeLattice
@@ -154,9 +158,13 @@ class SpectralSequence:
                     f"(relative asymmetry {asym / scale:.3e})"
                 )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectralSequence):
+            return NotImplemented
+        return (self.lattice == other.lattice and self.real_type == other.real_type
+                and np.array_equal(self.values, other.values))
+
     def value_at(self, n: int) -> complex:
-        if not -self.lattice.n_max <= n <= self.lattice.n_max:
-            raise ValueError(f"mode {n} outside lattice")
         return complex(self.values[self.lattice.index(n)])
 
     def support(self) -> np.ndarray:

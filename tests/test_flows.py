@@ -77,6 +77,37 @@ class TestFlowBasics:
             flow(F1, big, 1.0, FlowConfig(substeps=8))
 
 
+def count_states(monkeypatch) -> list:
+    """The list that every SpectralSequence constructed from now on joins."""
+    built = []
+    post_init = SpectralSequence.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpectralSequence, "__post_init__", counting)
+    return built
+
+
+class TestStatesBuilt:
+    """The flows run on raw value arrays: a flow constructs one
+    SpectralSequence, its result, and u_of_q one per flow."""
+
+    @pytest.mark.parametrize("spec", [F1, F2])
+    def test_flow_builds_its_result_only(self, spec, monkeypatch):
+        q = class_data()
+        built = count_states(monkeypatch)
+        w = flow(spec, q, 1.0, FlowConfig(substeps=8))
+        assert len(built) == 1 and built[0] is w
+
+    def test_u_of_q_builds_two(self, monkeypatch):
+        q = class_data()
+        built = count_states(monkeypatch)
+        u = u_of_q(q)
+        assert len(built) == 2 and built[-1] is u
+
+
 class TestComposedTransform:
     def test_round_trip(self):
         q = class_data()

@@ -23,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvlab import hamiltonians
+from kdvlab import flows, hamiltonians
 from kdvlab.data import DataSpec, Family
 from kdvlab.experiments import ScanConfig, scan_near_identity
 from kdvlab.hamiltonians import (F1, F2, H3, QUARTIC_RESONANT, HamiltonianSpec, _f2_raw,
-                                 _h3_gradient_values, eval_hamiltonian, f1_apply,
+                                 _gradient_values, eval_hamiltonian, f1_apply,
                                  f2_apply, gradient)
 from kdvlab.solver import SolverConfig, _sublattice, nonlinear_term
 from kdvlab.spectral import ModeLattice, SpectralSequence
@@ -338,7 +338,7 @@ def test_quadratic_terms_match_full_convolution(kind, data):
     d1, q1 = data.draw(sublattice_states(n_max, kind))
     _, q2 = data.draw(sublattice_states(n_max, "complex").filter(lambda s: s[0] != d1))
     lat, v1, v2 = q1.lattice, q1.values, q2.values
-    assert_matches_convolution(_h3_gradient_values(v1, lat), h3_gradient_formula, lat, v1, v1)
+    assert_matches_convolution(_gradient_values(H3, v1), h3_gradient_formula, lat, v1, v1)
     assert_matches_convolution(gradient(H3, q1).values, h3_gradient_formula, lat, v1, v1)
     assert_matches_convolution(nonlinear_term(q1).values, nonlinear_formula, lat, v1, v1)
     assert_matches_convolution(gradient(F1, q1).values, f1_gradient_formula, lat, v1, v1)
@@ -350,13 +350,15 @@ def test_f2_supports_on_transform_scan(monkeypatch):
     # AC4's config: the flows keep single-pair data on the carrier's
     # sublattice, so grad F2 sees few supports and its table cache hits
     supports = []
-    quartic = hamiltonians._gradient_quartic
+    kernel = flows._gradient_values
 
-    def recording(spec, lat, vals):
-        supports.append(np.flatnonzero(vals).tobytes())
-        return quartic(spec, lat, vals)
+    def recording(spec, vals):
+        if spec is F2:
+            supports.append(np.flatnonzero(vals).tobytes())
+        return kernel(spec, vals)
 
-    monkeypatch.setattr(hamiltonians, "_gradient_quartic", recording)
+    # the name the flows call
+    monkeypatch.setattr(flows, "_gradient_values", recording)
     lat = ModeLattice(256, 769)
     scan_near_identity(ScanConfig(
         epsilon_grid=(0.1, 0.05, 0.025, 0.0125), rho=1.0, horizon_exponent=0.25,

@@ -573,6 +573,9 @@ class TestRecords:
         assert t_last == diags.times[-1] == traj[4][0]
         assert np.array_equal(u_last.values, states[-1][1].values)
         assert u_last is not traj[-1][1]  # built anew at every read
+        # so in, index and count compare states by value
+        assert (t_last, u_last) in traj and traj.index((t_last, u_last)) == 4
+        assert traj.count(traj[2]) == 1 and (t_last, u0) not in traj
         head = traj[:-1]
         assert type(head) is list and [t for t, _ in head] == diags.times[:-1]
         assert head[0][1] is u0

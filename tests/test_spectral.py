@@ -112,6 +112,21 @@ class TestSpectralSequence:
         with pytest.raises(ValueError):
             sequence_from_modes(LAT, {0: 1.0})
 
+    def test_sequence_from_modes_rejects_outside_lattice(self):
+        # -6 would wrap around to mode 3, 6 would index past the end
+        lat = ModeLattice(4, 13)
+        for n in (-6, 6):
+            with pytest.raises(ValueError, match="outside lattice"):
+                sequence_from_modes(lat, {n: 1.0}, real_type=False)
+
+    def test_equality_by_value(self):
+        lat = ModeLattice(4, 13)
+        u = sequence_from_modes(lat, {1: 0.1, -1: 0.1})
+        assert (u == SpectralSequence(lat, u.values)) is True
+        assert (u == sequence_from_modes(lat, {2: 0.1, -2: 0.1})) is False
+        assert u != SpectralSequence(lat, u.values, real_type=False)
+        assert u != sequence_from_modes(ModeLattice(4, 14), {1: 0.1, -1: 0.1})
+
     def test_values_immutable(self):
         u = sequence_from_modes(LAT, {1: 1.0, -1: 1.0})
         with pytest.raises(ValueError):

@@ -12,7 +12,11 @@ comments do not count.  The rules:
   end (see tests/test_dependencies.py);
 - the solver's time loop (solver._time_loop and the _record it appends
   through) calls neither SpectralSequence nor _full_lattice, so a record
-  stays O(K): the trajectory builds full-lattice states only when read.
+  stays O(K): the trajectory builds full-lattice states only when read;
+- flows.flow, nested functions included, never calls gradient, and its one
+  SpectralSequence call is in its return statement: the RK4 stages pass raw
+  arrays to hamiltonians._gradient_values, and a flow builds one state, its
+  result.
 """
 
 import ast
@@ -96,3 +100,15 @@ def test_time_loop_builds_no_full_state():
              and isinstance(node, ast.Call)
              and _dotted(node.func).split(".")[-1] in ("SpectralSequence", "_full_lattice")]
     assert sites == []
+
+
+def test_flow_stages_build_no_state():
+    body = [node for module, scope, node in _nodes()
+            if module == "flows" and scope.split(".")[0] == "flow"]
+    assert body
+    returned = {id(node) for ret in body if isinstance(ret, ast.Return)
+                for node in ast.walk(ret)}
+    sites = [(_dotted(node.func), id(node) in returned) for node in body
+             if isinstance(node, ast.Call)
+             and _dotted(node.func).split(".")[-1] in ("SpectralSequence", "gradient")]
+    assert sites == [("SpectralSequence", True)]
