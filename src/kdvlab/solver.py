@@ -9,7 +9,8 @@ integrating-factor RK4 suffers resonance instabilities at high carrier modes;
 ETDRK4 does not.
 
 Both integrators take real_type states and step one layout, the half
-spectrum on the sublattice of the initial support: the modes n = d k with d
+spectrum on the sublattice of the initial support (ETDRK4 in the
+coordinates w below): the modes n = d k with d
 the gcd of the positive support modes (_sublattice), k = 0..K = N // d for
 evolve and kdv_step, k = 1..K for envelope_evolve's envelope.  The other
 modes stay exact zeros: this is the KdV scaling u(d k, t) = d^{3/2} w(k, d^3 t),
@@ -22,13 +23,19 @@ The trajectory (_Trajectory) rebuilds a full-lattice state
 sees is exactly conjugate-symmetric and has passed the SpectralSequence
 checks.
 
-N(h) is an exact np.convolve of the mirrored half spectrum
-(hamiltonians._product) for K < _FFT_CROSSOVER, else a pseudospectral
-product on the alias-free grid of spectral._fft_size(K) points: the samples
-g of v = sum sqrt|n| u(n) e^{inx} by irfft, then
-N(h) = 3 i sqrt(n) rfft(g^2)[:K + 1].  nonlinear_term,
-N(u) = sigma(n) grad H3(u)(n) on the full lattice, is hamiltonians' exact
-convolution; the tests hold both branches to it.
+ETDRK4 steps the Fourier coefficients of v on the sublattice,
+w = sqrt(n) h, for which wdot = i n^3 w + 3 i n P(w) with the quadratic
+term P(w)(n) = sum_{n1+n2=n} w(n1) w(n2).  _etd_coeffs folds 3 i n into the
+four nonlinear ETD weights once per run, so a stage is one product P and no
+weight multiply; evolve and kdv_step convert h to w on entry and back
+(_half_of, mode 0 staying 0) only where a state is recorded or returned.
+Each run owns a stage buffer (_quadratic).  For K < _FFT_CROSSOVER, P is
+one matrix-vector product of a fixed Toeplitz view of that buffer, which
+holds the stage and its conjugate mirror, exact and alias-free; from it on,
+P = rfft(g^2)[:K + 1] with g the irfft of w on the alias-free grid of
+spectral._fft_size(K) points.  nonlinear_term,
+N(u) = sigma(n) grad H3(u)(n) = 3 i sqrt(n) P(w) on the full lattice, is
+hamiltonians' exact convolution; the tests hold both branches to it.
 
 envelope_evolve's step contracts two static term tables, for outputs n > 0
 and unordered input pairs only, scattered by the np.bincount helper that also
@@ -43,10 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import H3, _gradient_values, _product, _scatter_add
+from .hamiltonians import H3, _gradient_values, _scatter_add
 from .spectral import (GridFunction, ModeLattice, NormSpec, SpectralSequence,
                        _fft, _fft_size, _full_lattice, _is_finite_number,
-                       _mirror, _require_int, _sublattice_gcd, norm)
+                       _require_int, _sublattice_gcd, norm)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -95,13 +102,13 @@ def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
     return SpectralSequence(lat, vals, u.real_type)
 
 
-# N(h) is an exact np.convolve below this many sublattice modes K and the
+# P(w) is the Toeplitz product below this many sublattice modes K and the
 # irfft/rfft pair on _fft_size(K) points from it on.  Per call (best of 7 x
-# 2,000) on a 2-core Xeon VM with NumPy 2.4, the convolution took 6.7 us and
-# the FFT pair 13.3 us at K = 8; from K ~ 48 to 64 the two stay within the
-# VM's run-to-run noise of each other (convolution 15 and 23 us, FFT 17 and
-# 20 us at K = 48 and 64), and above that the FFT wins (140 against 34 us at
-# K = 256).
+# 2,000) on a 2-core Xeon VM with NumPy 2.4, the Toeplitz product took 1.9 us
+# and the FFT pair 13.5 us at K = 8; from K ~ 56 to 80 the two stay within
+# the VM's run-to-run noise of each other (Toeplitz 14.0 and 21.2 us, FFT
+# 16.7 and 17.0 us at K = 63 and 80), and above that the FFT wins (28 against
+# 23 us at K = 96, 67 against 32 us at K = 128).
 _FFT_CROSSOVER = 64
 
 
@@ -113,26 +120,39 @@ def _sublattice(h: np.ndarray) -> np.ndarray:
     return np.arange(0, h.size, _sublattice_gcd(h) or h.size)
 
 
-def _half_kernel(modes: np.ndarray) -> tuple:
-    """(root, fac, size) of N(h) on the half-spectrum modes n = d k,
-    k = 0..K: root = sqrt(n), fac = 3 i sqrt(n), and size the FFT grid
-    length, or 0 below the crossover, where N(h) is an exact convolution."""
-    root = np.sqrt(modes)
-    k_max = modes.size - 1
-    return root, 3j * root, _fft_size(k_max) if k_max >= _FFT_CROSSOVER else 0
+def _quadratic(k_max: int) -> tuple:
+    """(stage, product) of one run on the sublattice modes d k, k = 0..K:
+    stage the run's own buffer for the coefficients w(d k) of v, product()
+    the quadratic term P(w)(d k) = sum_{n1+n2=d k} w(n1) w(n2) of what stage
+    holds, with w(-n) = conj w(n).
 
+    From _FFT_CROSSOVER up, P is rfft of the squared irfft on the alias-free
+    grid of _fft_size(K) points.  Below it, stage is the slice K..2K of a
+    zero-padded buffer of 3K + 1 slots whose slots 0..2K hold w(-K..K):
+    product() writes the conjugate mirror into slots 0..K-1 and takes one
+    matrix-vector product of the fixed Toeplitz view (row k is the window
+    k..k+2K of the buffer) with the reversed slots 2K..0, so
+    P(d k) = sum_c buf[k + c] buf[2K - c] with the padding closing the sum.
+    """
+    if k_max >= _FFT_CROSSOVER:
+        fft, size = _fft(), _fft_size(k_max)
+        stage = np.zeros(k_max + 1, dtype=np.complex128)
 
-def _half_nonlinear(h: np.ndarray, kernel: tuple) -> np.ndarray:
-    """N(u) on the sublattice modes d k, k = 0..K, from the values h there of
-    a real_type u on the sublattice d Z."""
-    root, fac, size = kernel
-    w = root * h
-    if not size:
-        full = _mirror(w)
-        return fac * _product(full, full, h.size - 1)[h.size - 1:]
-    fft = _fft()
-    g = fft.irfft(w, size, norm="forward")
-    return fac * fft.rfft(g * g, norm="forward")[:h.size]
+        def product() -> np.ndarray:
+            g = fft.irfft(stage, size, norm="forward")
+            return fft.rfft(g * g, norm="forward")[:k_max + 1]
+
+        return stage, product
+    buf = np.zeros(3 * k_max + 1, dtype=np.complex128)
+    stage, mirror, tail = buf[k_max:2 * k_max + 1], buf[:k_max], buf[2 * k_max:k_max:-1]
+    toeplitz = np.lib.stride_tricks.sliding_window_view(buf, 2 * k_max + 1)
+    reversed_full = buf[2 * k_max::-1]
+
+    def product() -> np.ndarray:
+        np.conjugate(tail, out=mirror)
+        return toeplitz @ reversed_full
+
+    return stage, product
 
 
 def _phi123(z: np.ndarray) -> tuple:
@@ -157,40 +177,72 @@ def _phi123(z: np.ndarray) -> tuple:
 
 
 def _etd_coeffs(dt: float, modes: np.ndarray) -> tuple:
-    """Cox-Matthews ETDRK4 coefficient arrays for the symbol i n^3 on modes."""
-    z = 1j * modes.astype(np.float64) ** 3 * dt
+    """Cox-Matthews ETDRK4 coefficient arrays for the symbol i n^3 on modes,
+    (e^z, e^{z/2}, q, f1, 2 f2, f3) with z = i n^3 dt and 3 i n folded into
+    the four nonlinear weights: the step multiplies them by P(w) itself."""
+    n = modes.astype(np.float64)
+    z = 1j * n ** 3 * dt
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
-    q = 0.5 * dt * _phi123(0.5 * z)[0]
+    fold = 3j * n
+    q = fold * 0.5 * dt * _phi123(0.5 * z)[0]
     p1, p2, p3 = _phi123(z)
-    f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-    f2 = dt * (p2 - 2.0 * p3)
-    f3 = dt * (4.0 * p3 - p2)
+    f1 = fold * dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    f2 = fold * 2.0 * dt * (p2 - 2.0 * p3)
+    f3 = fold * dt * (4.0 * p3 - p2)
     return e_full, e_half, q, f1, f2, f3
 
 
-def _etdrk4_step(h: np.ndarray, coeffs: tuple, kernel: tuple) -> np.ndarray:
-    """One ETDRK4 step of the half spectrum with precomputed coefficient arrays."""
-    e_full, e_half, q, f1, f2, f3 = coeffs
-    nu = _half_nonlinear(h, kernel)
-    a = e_half * h + q * nu
-    na = _half_nonlinear(a, kernel)
-    b = e_half * h + q * na
-    nb = _half_nonlinear(b, kernel)
-    c = e_half * a + q * (2.0 * nb - nu)
-    nc = _half_nonlinear(c, kernel)
-    return e_full * h + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+def _etdrk4_stepper(dt: float, modes: np.ndarray) -> tuple:
+    """(rotation, increment) of the ETDRK4 step of the coefficients
+    w = sqrt(n) h of v on the sublattice modes, wdot = i n^3 w + 3 i n P(w):
+    the step is w -> rotation * w + increment(w), rotation = e^{i n^3 dt} the
+    exact free flow.  increment steps through its own stage buffer
+    (_quadratic): a stage is one product, no weight multiply."""
+    e_full, e_half, q, f1, f2, f3 = _etd_coeffs(dt, modes)
+    stage, product = _quadratic(modes.size - 1)
+
+    def increment(w: np.ndarray) -> np.ndarray:
+        ew = e_half * w
+        stage[:] = w
+        pw = product()
+        np.multiply(q, pw, out=stage)
+        np.add(stage, ew, out=stage)
+        ea = e_half * stage
+        pa = product()
+        np.multiply(q, pa, out=stage)
+        np.add(stage, ew, out=stage)
+        pb = product()
+        np.multiply(q, 2.0 * pb - pw, out=stage)
+        np.add(stage, ea, out=stage)
+        return f1 * pw + f2 * (pa + pb) + f3 * product()
+
+    return e_full, increment
+
+
+def _half_of(w: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The half spectrum h = w / sqrt(n) of the coefficients w of v on the
+    sublattice modes with square roots root; mode 0 stays 0."""
+    return np.divide(w, root, out=np.zeros_like(w), where=root > 0.0)
 
 
 def kdv_step(u: SpectralSequence, dt: float) -> SpectralSequence:
     """Advance a real_type state a single step of size dt (dt may be negative;
-    used for micro-steps in experiments)."""
+    used for micro-steps in experiments).
+
+    The free rotation acts on h itself and only the O(dt) increment passes
+    through w: scan_error_term divides the difference of a +dt and a -dt
+    step by 2 dt, so the O(1) part of the step takes one rounding, not the
+    three of the round trip h -> w -> h.
+    """
     if not u.real_type:
         raise ValueError("kdv_step requires a real_type state")
     n_max = u.lattice.n_max
     h = u.values[n_max:]
     modes = _sublattice(h)
-    h = _etdrk4_step(h[modes], _etd_coeffs(dt, modes), _half_kernel(modes))
+    root = np.sqrt(modes)
+    rotation, increment = _etdrk4_stepper(dt, modes)
+    h = rotation * h[modes] + _half_of(increment(root * h[modes]), root)
     return SpectralSequence(u.lattice, _full_lattice(h, modes, n_max), real_type=True)
 
 
@@ -265,11 +317,11 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
         )
     h = u0.values[lat.n_max:]
     modes = _sublattice(h)
-    coeffs = _etd_coeffs(dt, modes)
-    kernel = _half_kernel(modes)
-    return _time_loop(u0, modes, h[modes], steps, dt, cfg.record_every,
-                      lambda state, t0: _etdrk4_step(state, coeffs, kernel),
-                      lambda state, t: state)
+    root = np.sqrt(modes)
+    rotation, increment = _etdrk4_stepper(dt, modes)
+    return _time_loop(u0, modes, root * h[modes], steps, dt, cfg.record_every,
+                      lambda w, t0: rotation * w + increment(w),
+                      lambda w, t: _half_of(w, root))
 
 
 class _Trajectory(Sequence):

@@ -200,9 +200,12 @@ def sequence_from_modes(lattice: ModeLattice, entries: dict, real_type: bool = T
     return SpectralSequence(lattice, vals, real_type)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real samples of a mean-zero function on the uniform M-point grid."""
+    """Real samples of a mean-zero function on the uniform M-point grid.
+
+    Two grid functions are equal when lattice and samples are.
+    """
 
     lattice: ModeLattice
     samples: np.ndarray
@@ -221,6 +224,11 @@ class GridFunction:
             raise ValueError(
                 f"samples are not mean-zero (|mean| = {mean:.3e}, scale {scale:.3e})"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        return self.lattice == other.lattice and np.array_equal(self.samples, other.samples)
 
 
 @dataclass(frozen=True)

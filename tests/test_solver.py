@@ -1,8 +1,9 @@
 """Solver tests against independent physical-space and closed-form oracles.
 
-The sublattice half-spectrum stepper is checked against the full-lattice
-ETDRK4 step it replaced, whose N(u) is nonlinear_term (the exact np.convolve
-product), on both branches of its N(h), and against the KdV scaling symmetry.
+The sublattice stepper, which steps the coefficients w = sqrt(n) h of v, is
+checked against the full-lattice ETDRK4 step of h it replaced, whose N(u) is
+nonlinear_term (the exact np.convolve product), on both branches of its
+product P(w), and against the KdV scaling symmetry.
 Its sublattice is checked against the set-based fixed point of the sum-closure
 (set_closure).
 The envelope stepper is checked against the per-third-mode loop it replaced,
@@ -13,6 +14,8 @@ formulas they replaced (assert_diagnostics_match).
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,9 +25,9 @@ from hypothesis import strategies as st
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, LAMBDA2, eval_hamiltonian, gradient
 from kdvlab.solver import (_FFT_CROSSOVER, SolverConfig, SolverDivergenceError,
-                           _diagnostics_kernel, _EnvelopeStepper, _etd_coeffs,
-                           _etdrk4_step, _half_diagnostics, _half_kernel,
-                           _half_nonlinear, _osc_integral, _phi123, _sublattice,
+                           _diagnostics_kernel, _EnvelopeStepper, _etdrk4_stepper,
+                           _half_diagnostics, _half_of, _osc_integral, _phi123,
+                           _quadratic, _sublattice,
                            diagnostics_of, envelope_evolve, evolve, kdv_step,
                            nonlinear_term, soliton_mean, soliton_reference,
                            stability_budget)
@@ -223,16 +226,21 @@ class TestNonlinearTerm:
 
 
 class TestHalfSpectrum:
-    """N(u) on the sublattice half spectrum, by np.convolve below the crossover
-    and by irfft/rfft from it on, against the full-lattice convolution."""
+    """N(u) = 3 i sqrt(n) P(w) on the sublattice half spectrum, P of the
+    coefficients w = sqrt(n) h of v by the Toeplitz product below the
+    crossover and by irfft/rfft from it on, against the full-lattice
+    convolution."""
 
     @staticmethod
     def check_against_convolution(u):
         n_max = u.lattice.n_max
         h = u.values[n_max:]
         modes = _sublattice(h)
+        root = np.sqrt(modes)
+        stage, product = _quadratic(modes.size - 1)
+        stage[:] = root * h[modes]
         got = np.zeros(n_max + 1, dtype=np.complex128)
-        got[modes] = _half_nonlinear(h[modes], _half_kernel(modes))
+        got[modes] = 3j * root * product()
         expected = nonlinear_term(u).values[n_max:]
         # N vanishes identically only when every pair sum leaves the lattice;
         # the FFT then leaves round-off on the closure, measured against the
@@ -404,15 +412,18 @@ class TestStepper:
         assert [t for t, _ in traj] == [0.0] and diags.times == [0.0]
 
     def test_divergence_keeps_records(self):
-        # a pair whose squares sit just below the overflow threshold, stepped
-        # within the budget: it overflows once it has spread into its
-        # harmonics, a few steps in
-        u0 = sequence_from_modes(LAT, {1: 4.5e153, -1: 4.5e153})
-        dt = 0.45 / stability_budget(u0, LAT)
+        # a pair at mode 1 on N = 32, stepped within the budget: the step
+        # outruns the nonlinear time scale of the harmonics the pair spreads
+        # into, and the scheme blows up, K growing from 1x to ~3x, ~6e7x and
+        # ~5e128x its initial value over steps 10-12; step 13 overflows
+        lat = ModeLattice(32, 97)
+        u0 = sequence_from_modes(lat, {1: 1e3, -1: 1e3})
+        dt = 0.45 / stability_budget(u0, lat)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergenceError, match="non-finite state") as err:
-                evolve(u0, SolverConfig(dt=dt, t_final=400 * dt, lattice=LAT, record_every=1))
+                evolve(u0, SolverConfig(dt=dt, t_final=400 * dt, lattice=lat, record_every=1))
         assert_records_before_failure(err.value, u0, dt)
+        assert err.value.diagnostics.K[-1] > 1e6 * err.value.diagnostics.K[0]
 
 
 class TestDiagnostics:
@@ -538,10 +549,34 @@ class TestRecords:
                                       record_every=7))
         modes = _sublattice(u0.values[n_max:])
         dt = t_final / steps  # the dt evolve steps with
-        coeffs, kernel = _etd_coeffs(dt, modes), _half_kernel(modes)
+        root = np.sqrt(modes)
+        rotation, increment = _etdrk4_stepper(dt, modes)
         assert_same_run(out, eager_run(
-            u0, modes, u0.values[n_max + modes], steps, dt, 7,
-            lambda h, t0: _etdrk4_step(h, coeffs, kernel), lambda h, t: h))
+            u0, modes, root * u0.values[n_max + modes], steps, dt, 7,
+            lambda w, t0: rotation * w + increment(w), lambda w, t: _half_of(w, root)))
+
+    @pytest.mark.parametrize("n_max", [32, 80])  # K = 32 (Toeplitz) and 80 (FFT)
+    def test_concurrent_runs_match_serial(self, n_max):
+        # each run steps through its own stage buffer: two runs on one lattice,
+        # interleaved on two threads, give the bytes each gives alone
+        lat = ModeLattice(n_max, 3 * n_max + 1)
+        cfg = SolverConfig(dt=1e-6, t_final=4e-4, lattice=lat, record_every=40)
+        u0s = [random_real_sequence(lat, np.random.default_rng(seed)) for seed in (51, 52)]
+        serial = [evolve(u0, cfg) for u0 in u0s]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(evolve, u0, cfg) for u0 in u0s]
+                concurrent = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (traj, diags), (ref, ref_diags) in zip(concurrent, serial, strict=True):
+            assert len(traj) == len(ref) == 11
+            for (t, u), (t_ref, u_ref) in zip(traj, ref):
+                assert t == t_ref
+                assert u.values.tobytes() == u_ref.values.tobytes()
+            assert (diags.K, diags.H) == (ref_diags.K, ref_diags.H)
 
     @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01, 0.005])
     def test_envelope_states_match_eager_build(self, eps):

@@ -211,6 +211,14 @@ class TestTransforms:
         l2_sq = 2 * math.pi * np.mean(v.samples ** 2)
         assert l2_sq == pytest.approx(2 * math.pi * l2s_norm(u, 0.5) ** 2, rel=1e-12)
 
+    def test_grid_function_equality_by_value(self):
+        lat = ModeLattice(4, 13)
+        g = physical_from_weighted(sequence_from_modes(lat, {1: 0.1, -1: 0.1}))
+        assert (g == GridFunction(g.lattice, g.samples)) is True
+        assert (g == physical_from_weighted(sequence_from_modes(lat, {2: 0.1, -2: 0.1}))) is False
+        other = physical_from_weighted(sequence_from_modes(ModeLattice(4, 14), {1: 0.1, -1: 0.1}))
+        assert g != other
+
     def test_grid_function_rejects_nonzero_mean(self):
         with pytest.raises(ValueError):
             GridFunction(LAT, np.ones(LAT.m_samples))

@@ -4,12 +4,16 @@ Each module of src/kdvlab is parsed with ast, so names in docstrings and
 comments do not count.  The rules:
 
 - exactly one np.convolve call, in hamiltonians._product: every quadratic
-  term is that one exact spectral product;
+  term outside the ETDRK4 stepper is that one exact spectral product;
 - no np.add.at: scatters are np.bincount (hamiltonians._scatter_add);
 - numpy.fft is reached only through spectral._fft, which imports it on a
   helper thread.  An np.fft access on the main thread could meet a signal
   handler that re-enters NumPy's lazy numpy.fft import and recurses without
   end (see tests/test_dependencies.py);
+- the solver's ETDRK4 step and its small-K product (solver._etdrk4_stepper
+  and solver._quadratic, nested functions included) call none of _mirror,
+  np.concatenate, np.convolve or _product: a stage is written into the run's
+  own buffer and multiplied against a fixed Toeplitz view of it;
 - the solver's time loop (solver._time_loop and the _record it appends
   through) calls neither SpectralSequence nor _full_lattice, so a record
   stays O(K): the trajectory builds full-lattice states only when read;
@@ -89,6 +93,18 @@ def test_numpy_fft_only_behind_gate():
     sites = [(module, scope) for module, scope, node in _nodes()
              if _is_numpy_fft(node)]
     assert sites and set(sites) == {FFT_GATE}
+
+
+def test_etdrk4_step_builds_no_full_state():
+    stepper = ("_etdrk4_stepper", "_quadratic")
+    scopes = {scope for module, scope, _ in _nodes() if module == "solver"}
+    assert set(stepper) <= scopes
+    sites = [(scope, _dotted(node.func)) for module, scope, node in _nodes()
+             if module == "solver" and scope.split(".")[0] in stepper
+             and isinstance(node, ast.Call)
+             and _dotted(node.func).split(".")[-1] in ("_mirror", "concatenate",
+                                                       "convolve", "_product")]
+    assert sites == []
 
 
 def test_time_loop_builds_no_full_state():
