@@ -9,36 +9,35 @@ All square roots are taken of absolute values.  Sums run over zero-sum index
 tuples of nonzero modes; quartic terms with vanishing cube-sum denominator are
 skipped by exact integer test.
 
-One kernel per degree.  Every quadratic term (grad H3, grad F1, f1_apply and
-solver.nonlinear_term, N(u) = sigma grad H3) is one spectral product,
-_product, an exact np.convolve, run on the gcd sublattice of its input
-(_on_sublattice): for inputs on d Z (spectral._sublattice_gcd; for f1_apply
-the gcd of both arguments' d) it convolves the 2K + 1 modes d k,
-|k| <= K = N // d, and every other mode is an exact zero.  Single-pair data
-at carrier N0 keeps every state of the F1 and F2 flows on N0 Z, so N // N0
-modes stand in for N.  These stay off the FFT on purpose: flows
+One kernel per Hamiltonian: its gradient.  Every quadratic term (grad H3,
+grad F1, f1_apply and solver.nonlinear_term, N(u) = sigma grad H3) is one
+spectral product, _product, an exact np.convolve, run on the gcd sublattice
+of its input (_on_sublattice): for inputs on d Z (spectral._sublattice_gcd;
+for f1_apply the gcd of both arguments' d) it convolves the 2K + 1 modes
+d k, |k| <= K = N // d, and every other mode is an exact zero.  Single-pair
+data at carrier N0 keeps every state of the F1 and F2 flows on N0 Z, so
+N // N0 modes stand in for N.  These stay off the FFT on purpose: flows
 evaluate them on sparse states whose exact zeros key the quartic table cache
 (an FFT would leave round-off on every mode), and nonlinear_term is the
 oracle the tests hold both branches of the solver's sublattice stepper to:
 a Toeplitz product on sublattices of K < solver._FFT_CROSSOVER positive
-modes, an irfft/rfft pair on larger ones.  The degree-3 values H3 and F1 have
-separable coefficients c w(n1) w(n2) w(n3), so each is one grid cube,
-c (1/L) sum_j G(x_j)^3 with G the synthesis of w on the alias-free
-L = spectral._fft_size(N) grid.  Every quartic term (grad F2, the degree-4
-values and f2_apply) contracts one quartic table per support: the nonzero
-coefficients c(k1, k2, k3, -m) over the ordered triples of active modes with
-0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3) and of m.  A
-gradient or f2_apply is an np.bincount of the terms over m (f2_apply takes
-its three arguments on their union support), a value the same terms
-weighted by q(-m).  Tables live in an LRU cache of 8 keyed on
+modes, an irfft/rfft pair on larger ones.  Every quartic term (grad F2 and
+f2_apply) contracts one quartic table per support (_quartic_sum): the
+nonzero coefficients c(k1, k2, k3, -m) over the ordered triples of active
+modes with 0 < |m| <= n_max, with the indices of k1, of the pair (k2, k3)
+and of m, summed over m by np.bincount (f2_apply takes its three arguments
+on their union support).  Tables live in an LRU cache of 8 keyed on
 (spec, n_max, support), so a flow, which revisits one support on almost every
 RK4 stage, evaluates coefficients only when a support is first seen.  A
 support of more than 64 modes (2^18 ordered triples, the entry budget) is
 contracted block by block and not cached; a cached table takes at most 8 MiB.
+Lambda2 and the resonant quartic have closed-form gradients.
 
 Kernels take raw value arrays of the modes -N..N, N = vals.size // 2.  The
 flows, solver.nonlinear_term and poisson_bracket call the gradient kernel
-_gradient_values directly; gradient is its validated public wrapper.
+_gradient_values directly; gradient is its validated public wrapper.  Values
+come from the same kernel: a spec of degree k is homogeneous, so Euler's
+identity sum_n q(-n) grad(n) = k spec(q) gives eval_hamiltonian.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .spectral import SpectralSequence, _fft, _fft_size, _sublattice_gcd
+from .spectral import SpectralSequence, _sublattice_gcd
 
 
 class Kind(enum.Enum):
@@ -288,34 +287,25 @@ def _quartic_table(spec: HamiltonianSpec, n_max: int, support_key: bytes) -> tup
     return table
 
 
-def _quartic_terms(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
-                   q1: np.ndarray, q2: np.ndarray, q3: np.ndarray):
-    """Yield (w, m) per table block of support (lattice indices): the term
-    w = coef q1(k1) q2(k2) q3(k3) of each table entry, for q1, q2, q3 given on
-    the support, and the lattice index m of its output mode k1 + k2 + k3.
+def _quartic_sum(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
+                 q1: np.ndarray, q2: np.ndarray, q3: np.ndarray) -> np.ndarray:
+    """The quartic contraction on modes -n_max..n_max: per output mode m, the
+    sum of the terms coef q1(k1) q2(k2) q3(k3) of the table of support
+    (lattice indices) whose k1 + k2 + k3 has lattice index m, for q1, q2, q3
+    given on the support.
 
-    With q1 = q2 = q3 = q, the gradient of a quartic spec at mode m is 4 times
-    the sum of the terms with that output, and its value is the sum of the
-    terms weighted by q(-m).
+    With q1 = q2 = q3 = q, the gradient of a quartic spec is 4 times this sum.
     """
+    out = np.zeros(2 * n_max + 1, dtype=np.complex128)
     if support.size == 0:
-        return
+        return out
     if support.size**3 <= _TABLE_ENTRY_BUDGET:
         blocks = [_quartic_table(spec, n_max, support.tobytes())]
     else:
         blocks = _quartic_blocks(spec, n_max, support)
     q23 = np.multiply.outer(q2, q3).ravel()
     for coef, i1, p, m in blocks:
-        yield coef * q1[i1] * q23[p], m
-
-
-def _quartic_sum(spec: HamiltonianSpec, n_max: int, support: np.ndarray,
-                 *qs: np.ndarray) -> np.ndarray:
-    """The quartic contraction on modes -n_max..n_max: the terms of
-    _quartic_terms summed per output mode."""
-    out = np.zeros(2 * n_max + 1, dtype=np.complex128)
-    for w, m in _quartic_terms(spec, n_max, support, *qs):
-        _scatter_add(out, m, w)
+        _scatter_add(out, m, coef * q1[i1] * q23[p])
     return out
 
 
@@ -330,64 +320,13 @@ def _scatter_add(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def eval_hamiltonian(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
-    """Sum the coefficient over all ordered zero-sum tuples of active modes."""
-    lat = q.lattice
-    vals = q.values
-    if spec.degree == 2:
-        n = lat.modes
-        c = spec.coefficient(n, -n)
-        return complex(np.sum(c * vals * vals[::-1]))
+    """The value of spec at q from its gradient, by Euler's identity.
 
-    if spec.degree == 3:
-        return _cubic_value(spec, q)
-
-    # degree 4: the quartic table's terms, each weighted by q(-m)
-    support = np.flatnonzero(vals)
-    qs = vals[support]
-    reflected = vals[::-1]
-    terms = _quartic_terms(spec, lat.n_max, support, qs, qs, qs)
-    return complex(sum(np.sum(w * reflected[m]) for w, m in terms))
-
-
-def _cubic_weights(kind: Kind, vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """w with H3 = i sum w(n1) w(n2) w(n3) and F1 = (1/3) sum w(n1) w(n2) w(n3)
-    over zero-sum triples: w = sqrt|n| q for H3, sigma(n) q / sqrt|n| for F1,
-    for q given on modes."""
-    absn = np.abs(modes).astype(np.float64)
-    if kind is Kind.H3:
-        return np.sqrt(absn) * vals
-    return np.where(modes != 0,
-                    _sgn(modes) * vals / np.sqrt(np.where(modes == 0, 1.0, absn)), 0.0)
-
-
-_CUBIC_CONSTANT = {Kind.H3: 1j, Kind.F1: 1.0 / 3.0}
-
-
-def _cubic_value(spec: HamiltonianSpec, q: SpectralSequence) -> complex:
-    """H3 or F1 as c (1/L) sum_j G(x_j)^3, G the synthesis of w on L points.
-
-    The coefficient is separable, c w(n1) w(n2) w(n3), and on L >= 3N + 1
-    points a sum of three modes is 0 mod L only if it is 0, so the grid sum
-    is exactly the sum over zero-sum triples.  H3 of a real_type q has a
-    conjugate-symmetric w and synthesises through irfft.  F1 (whose w on a
-    real_type q is anti-symmetric, w(-n) = -conj(w(n))) and any non-real_type
-    q, such as fd_gradient's perturbed states, go through a complex ifft.
+    spec is homogeneous of degree k and gradient(n) = d(spec)/dq(-n), so
+    sum_n q(-n) gradient(n) = k spec(q): one expression for every spec, on
+    the kernel behind the gradients and the flows.
     """
-    if spec.kind not in _CUBIC_CONSTANT:
-        raise ValueError(f"no degree-3 value rule for {spec.kind}")
-    lat = q.lattice
-    w = _cubic_weights(spec.kind, q.values, lat.modes)
-    size = _fft_size(lat.n_max)
-    if spec.kind is Kind.H3 and q.real_type:
-        grid = _fft().irfft(w[lat.n_max:], size, norm="forward")
-    else:
-        # mode n in slot n mod L
-        spread = np.zeros(size, dtype=np.complex128)
-        spread[:lat.n_max + 1] = w[lat.n_max:]
-        spread[size - lat.n_max:] = w[:lat.n_max]
-        grid = _fft().ifft(spread, norm="forward")
-    # grid * grid * grid: np.power with exponent 3 is ~20x slower
-    return complex(_CUBIC_CONSTANT[spec.kind] * np.sum(grid * grid * grid) / size)
+    return complex(np.sum(q.values[::-1] * _gradient_values(spec, q.values))) / spec.degree
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +362,14 @@ def _signed_inv_root(modes: np.ndarray) -> np.ndarray:
     return _sgn(modes) / np.sqrt(np.maximum(np.abs(modes), 1).astype(np.float64))
 
 
+def _f1_weights(vals: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """z = sigma(n) q / sqrt|n| for q given on modes, zero at n = 0: F1 =
+    (1/3) sum z(n1) z(n2) z(n3) over zero-sum triples."""
+    absn = np.abs(modes).astype(np.float64)
+    return np.where(modes != 0,
+                    _sgn(modes) * vals / np.sqrt(np.where(modes == 0, 1.0, absn)), 0.0)
+
+
 def _h3_gradient_terms(modes: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """grad H3 = 3 i sqrt|n| sum_{n1+n2=n} sqrt|n1 n2| q(n1) q(n2) on modes -K..K."""
     root = np.sqrt(np.abs(modes).astype(np.float64))
@@ -432,14 +379,14 @@ def _h3_gradient_terms(modes: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _f1_gradient_terms(modes: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """grad F1 = -sigma(n)/sqrt|n| sum_{n1+n2=n} z(n1) z(n2), z the F1 weights."""
-    z = _cubic_weights(Kind.F1, vals, modes)
+    z = _f1_weights(vals, modes)
     return -_signed_inv_root(modes) * _product(z, z, modes.size // 2)
 
 
 def _f1_apply_terms(modes: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """f1(q1, q2)(n) = sigma(n)/sqrt|n| sum_{n1+n2=-n} z1(n1) z2(n2)."""
-    z1 = _cubic_weights(Kind.F1, v1, modes)
-    z2 = _cubic_weights(Kind.F1, v2, modes)
+    z1 = _f1_weights(v1, modes)
+    z2 = _f1_weights(v2, modes)
     return _signed_inv_root(modes) * _product(z1, z2, modes.size // 2)[::-1]
 
 

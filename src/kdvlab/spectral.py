@@ -8,9 +8,10 @@ v(x) = sum_n sqrt(|n|) exp(i n x) u(n).
 
 The transforms between grid samples and weighted coordinates are one real
 FFT on the M-point grid each; the grid origin at -pi contributes the phase
-(-1)^n.  Products in mode space (the solver's nonlinear term, the degree-3
-values) run on a grid of _fft_size(N) points, the smallest 5-smooth length
-that is alias-free for cubic sums of modes |n| <= N.
+(-1)^n.  Products in mode space (the solver's nonlinear term from its
+crossover up, the grid cube of its H diagnostic) run on a grid of
+_fft_size(N) points, the smallest 5-smooth length that is alias-free for
+cubic sums of modes |n| <= N.
 """
 
 from __future__ import annotations
@@ -150,8 +151,12 @@ class SpectralSequence:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.real_type:
+            scale = float(np.max(np.abs(vals)))
+            # a comparison with NaN is False: test finiteness first
+            if not math.isfinite(scale):
+                raise ValueError("real_type sequence has non-finite values")
             asym = np.max(np.abs(vals[::-1].conj() - vals))
-            scale = max(np.max(np.abs(vals)), 1e-300)
+            scale = max(scale, 1e-300)
             if asym > _REALITY_TOL * scale:
                 raise ValueError(
                     f"real_type sequence is not conjugate-symmetric "
@@ -218,8 +223,12 @@ class GridFunction:
             )
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
+        scale = float(np.max(np.abs(s)))
+        # a comparison with NaN is False: test finiteness first
+        if not math.isfinite(scale):
+            raise ValueError("samples must be finite")
         mean = abs(float(np.mean(s)))
-        scale = max(float(np.max(np.abs(s))), 1e-300)
+        scale = max(scale, 1e-300)
         if mean > 1e-12 * scale:
             raise ValueError(
                 f"samples are not mean-zero (|mean| = {mean:.3e}, scale {scale:.3e})"

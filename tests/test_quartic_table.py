@@ -4,7 +4,7 @@ The oracles below are the original per-k1 implementations of the degree-4
 gradient, value and f2_apply: for every support mode k1 they evaluate the
 coefficient on the full support x support grid, mask output modes outside
 0 < |m| <= n_max and scatter with np.add.at.  f1_apply is checked against a
-literal double sum, the degree-3 values (a cube summed on the FFT grid)
+literal double sum, the degree-3 values (Euler's identity on the gradient)
 against a literal triple sum, and the solver's sublattice (the gcd of a
 support) against the set-based fixed point of its sum-closure.  Errors are
 measured against the sum of the absolute values of the terms, so cancelling
@@ -125,15 +125,6 @@ def triple_sum_value(spec, lat, vals, magnitude=False):
     return total
 
 
-def grid_floor(spec, lat, vals):
-    """2^-52 (sum |w(n)|)^3, w = sqrt|n| q for H3 and q/sqrt|n| for F1: the
-    rounding of a grid sum of cubes, present even where no zero-sum triple
-    exists and the literal sum is exactly 0."""
-    root = np.sqrt(np.maximum(np.abs(lat.modes), 1))
-    w = np.abs(vals) * (root if spec is H3 else 1.0 / root)
-    return 2.0**-52 * np.sum(w) ** 3
-
-
 def set_closure(support, n_max):
     modes = {int(n) for n in support}
     while True:
@@ -218,16 +209,15 @@ def test_matches_loop_oracle(spec, modes_for, data):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cubic_value_matches_triple_sum(spec, real_type, data):
-    # real_type H3 synthesises on the grid by irfft, the rest by a complex
-    # ifft; fd_gradient evaluates on non-real_type perturbations
+    # the value is Euler's identity on the gradient, on real_type states and
+    # on the non-real_type perturbations fd_gradient evaluates alike
     modes_for = data.draw(st.sampled_from([random_support, sublattice_support, top_support]))
     q = data.draw(states(modes_for))
     lat = q.lattice
     if real_type:
         q = SpectralSequence(lat, q.values + q.values[::-1].conj(), real_type=True)
     expected = triple_sum_value(spec, lat, q.values)
-    bound = (TOL * triple_sum_value(spec, lat, q.values, magnitude=True)
-             + 8.0 * grid_floor(spec, lat, q.values))
+    bound = TOL * triple_sum_value(spec, lat, q.values, magnitude=True)
     assert abs(eval_hamiltonian(spec, q) - expected) <= bound
 
 

@@ -347,6 +347,15 @@ class TestHalfSpectrum:
         with pytest.raises(ValueError):
             kdv_step(u, 1e-3)
 
+    def test_kdv_step_raises_on_non_finite_step(self):
+        # a pair at 1e150 overflows in one step; the step used to come back
+        # as a non-finite real_type state
+        lat = ModeLattice(16, 49)
+        u = sequence_from_modes(lat, {1: 1e150, -1: 1e150})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDivergenceError, match="non-finite state"):
+                kdv_step(u, 1e-3)
+
 
 class TestStepper:
     def test_linear_limit(self):

@@ -103,6 +103,18 @@ class TestSpectralSequence:
             SpectralSequence(LAT, vals, real_type=True)
         SpectralSequence(LAT, vals, real_type=False)
 
+    def test_rejects_non_finite_real_type(self):
+        # NaN passed the asymmetry check, as any comparison with NaN is
+        # False; inf at conjugate slots leaves a NaN asymmetry
+        lat = ModeLattice(4, 13)
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralSequence(lat, np.full(lat.size, np.nan), real_type=True)
+        for inf in (math.inf, -math.inf):
+            vals = np.zeros(lat.size, dtype=np.complex128)
+            vals[lat.index(2)] = vals[lat.index(-2)] = inf
+            with pytest.raises(ValueError, match="non-finite"):
+                SpectralSequence(lat, vals, real_type=True)
+
     def test_support(self):
         u = sequence_from_modes(LAT, {2: 1.0, -2: 1.0, 5: 1j, -5: -1j})
         assert sorted(u.support()) == [-5, -2, 2, 5]
@@ -222,6 +234,15 @@ class TestTransforms:
     def test_grid_function_rejects_nonzero_mean(self):
         with pytest.raises(ValueError):
             GridFunction(LAT, np.ones(LAT.m_samples))
+
+    def test_grid_function_rejects_non_finite(self):
+        lat = ModeLattice(4, 13)
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(lat, np.full(lat.m_samples, np.nan))
+        samples = np.zeros(lat.m_samples)
+        samples[3], samples[5] = math.inf, -math.inf
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(lat, samples)
 
     def test_physical_requires_real_type(self):
         u = SpectralSequence(LAT, np.zeros(LAT.size, dtype=np.complex128),

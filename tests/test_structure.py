@@ -20,7 +20,11 @@ comments do not count.  The rules:
 - flows.flow, nested functions included, never calls gradient, and its one
   SpectralSequence call is in its return statement: the RK4 stages pass raw
   arrays to hamiltonians._gradient_values, and a flow builds one state, its
-  result.
+  result;
+- the one function of hamiltonians that hamiltonians.eval_hamiltonian calls
+  is _gradient_values, and hamiltonians reaches neither spectral._fft nor
+  spectral._fft_size: a value is Euler's identity on the gradient kernel,
+  with no second value path beside it.
 """
 
 import ast
@@ -128,3 +132,19 @@ def test_flow_stages_build_no_state():
              if isinstance(node, ast.Call)
              and _dotted(node.func).split(".")[-1] in ("SpectralSequence", "gradient")]
     assert sites == [("SpectralSequence", True)]
+
+
+def test_values_come_from_the_gradient_kernel():
+    nodes = [(scope, node) for module, scope, node in _nodes() if module == "hamiltonians"]
+    defined = {node.name for scope, node in nodes
+               if isinstance(node, ast.FunctionDef) and scope == node.name}
+    assert {"eval_hamiltonian", "_gradient_values"} <= defined
+    calls = [_dotted(node.func) for scope, node in nodes
+             if scope.split(".")[0] == "eval_hamiltonian" and isinstance(node, ast.Call)]
+    assert [name for name in calls if name in defined] == ["_gradient_values"]
+    fft_names = ("_fft", "_fft_size")
+    sites = [scope for scope, node in nodes
+             if (isinstance(node, ast.Name) and node.id in fft_names)
+             or (isinstance(node, ast.Attribute) and node.attr in fft_names)
+             or (isinstance(node, ast.alias) and node.name in fft_names)]
+    assert sites == []
