@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from .hamiltonians import (F1, F2, Functional, HamiltonianSpec, _gradient_values,
                            eval_hamiltonian, poisson_bracket)
-from .spectral import SpectralSequence, _require_int, l2s_norm
+from .spectral import SpectralSequence, _is_finite_number, _require_int, l2s_norm
 
 
 class FlowDivergenceError(RuntimeError):
@@ -46,8 +46,11 @@ def flow(spec: HamiltonianSpec, q: SpectralSequence, tau: float,
     """Integrate the flow of spec for time tau with fixed-step RK4.
 
     Aborts with FlowDivergenceError if the l^2 norm grows past 10x its initial
-    value mid-flow (data outside the near-identity regime).
+    value mid-flow (data outside the near-identity regime).  A tau that is not
+    a finite real number raises ValueError.
     """
+    if not _is_finite_number(tau):
+        raise ValueError(f"tau must be a finite number, got {tau!r}")
     lat = q.lattice
     sign = np.sign(lat.modes)
     w = q.values.copy()

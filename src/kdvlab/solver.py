@@ -29,10 +29,12 @@ term P(w)(n) = sum_{n1+n2=n} w(n1) w(n2).  _etd_coeffs folds 3 i n into the
 four nonlinear ETD weights once per run, so a stage is one product P and no
 weight multiply; evolve and kdv_step convert h to w on entry and back
 (_half_of, mode 0 staying 0) only where a state is recorded or returned.
-Each run owns a stage buffer (_quadratic).  For K < _FFT_CROSSOVER, P is
-one matrix-vector product of a fixed Toeplitz view of that buffer, which
-holds the stage and its conjugate mirror, exact and alias-free; from it on,
-P = rfft(g^2)[:K + 1] with g the irfft of w on the alias-free grid of
+Each run owns its buffers: the stage and product buffers of _quadratic and
+the stage arrays of _etdrk4_stepper, which every stage writes into through
+ufunc out=, so a step allocates no array.  For K < _FFT_CROSSOVER, P is
+one matrix-vector product of a fixed Toeplitz view of the stage buffer,
+which holds the stage and its conjugate mirror, exact and alias-free; from
+it on, P = rfft(g^2)[:K + 1] with g the irfft of w on the alias-free grid of
 spectral._fft_size(K) points.  nonlinear_term,
 N(u) = sigma(n) grad H3(u)(n) = 3 i sqrt(n) P(w) on the full lattice, is
 hamiltonians' exact convolution; the tests hold both branches to it.
@@ -108,12 +110,14 @@ def nonlinear_term(u: SpectralSequence) -> SpectralSequence:
 
 
 # P(w) is the Toeplitz product below this many sublattice modes K and the
-# irfft/rfft pair on _fft_size(K) points from it on.  Per call (best of 7 x
-# 2,000) on a 2-core Xeon VM with NumPy 2.4, the Toeplitz product took 1.9 us
-# and the FFT pair 13.5 us at K = 8; from K ~ 56 to 80 the two stay within
-# the VM's run-to-run noise of each other (Toeplitz 14.0 and 21.2 us, FFT
-# 16.7 and 17.0 us at K = 63 and 80), and above that the FFT wins (28 against
-# 23 us at K = 96, 67 against 32 us at K = 128).
+# irfft/rfft pair on _fft_size(K) points from it on, both writing into run
+# buffers.  Per call (interleaved, best of 7 x 2,000) on a 2-core Xeon VM
+# with NumPy 2.4, the Toeplitz product took 1.4 us and the FFT pair 8.2 us
+# at K = 8; from K ~ 56 to 64 the two stay within the VM's run-to-run noise
+# of each other (Toeplitz 8.1, 10.3 and 10.5 us, FFT 10.3, 10.6 and 11.0 us
+# at K = 56, 63 and 64), and from K = 80 the FFT wins (16.2 against 11.9 us;
+# 38.6 against 13.4 us at K = 128, 596 against 25.5 us at K = 512).  Moving
+# the crossover would change the rounding of every run between the two values.
 _FFT_CROSSOVER = 64
 
 
@@ -127,25 +131,31 @@ def _sublattice(h: np.ndarray) -> np.ndarray:
 
 def _quadratic(k_max: int) -> tuple:
     """(stage, product) of one run on the sublattice modes d k, k = 0..K:
-    stage the run's own buffer for the coefficients w(d k) of v, product()
-    the quadratic term P(w)(d k) = sum_{n1+n2=d k} w(n1) w(n2) of what stage
-    holds, with w(-n) = conj w(n).
+    stage the run's own buffer for the coefficients w(d k) of v, product(out)
+    writes the quadratic term P(w)(d k) = sum_{n1+n2=d k} w(n1) w(n2) of what
+    stage holds into out, with w(-n) = conj w(n); a product allocates nothing.
 
     From _FFT_CROSSOVER up, P is rfft of the squared irfft on the alias-free
-    grid of _fft_size(K) points.  Below it, stage is the slice K..2K of a
-    zero-padded buffer of 3K + 1 slots whose slots 0..2K hold w(-K..K):
-    product() writes the conjugate mirror into slots 0..K-1 and takes one
-    matrix-vector product of the fixed Toeplitz view (row k is the window
-    k..k+2K of the buffer) with the reversed slots 2K..0, so
-    P(d k) = sum_c buf[k + c] buf[2K - c] with the padding closing the sum.
+    grid of _fft_size(K) points, each transform writing into a run buffer.
+    Below it, stage is the slice K..2K of a zero-padded buffer of 3K + 1 slots
+    whose slots 0..2K hold w(-K..K): product writes the conjugate mirror into
+    slots 0..K-1 and takes one matrix-vector product of the fixed Toeplitz
+    view (row k is the window k..k+2K of the buffer) with the reversed slots
+    2K..0, so P(d k) = sum_c buf[k + c] buf[2K - c] with the padding closing
+    the sum.
     """
     if k_max >= _FFT_CROSSOVER:
         fft, size = _fft(), _fft_size(k_max)
         stage = np.zeros(k_max + 1, dtype=np.complex128)
+        grid = np.empty(size)
+        spectrum = np.empty(size // 2 + 1, dtype=np.complex128)
+        head = spectrum[:k_max + 1]
 
-        def product() -> np.ndarray:
-            g = fft.irfft(stage, size, norm="forward")
-            return fft.rfft(g * g, norm="forward")[:k_max + 1]
+        def product(out: np.ndarray) -> None:
+            fft.irfft(stage, size, norm="forward", out=grid)
+            np.multiply(grid, grid, out=grid)
+            fft.rfft(grid, norm="forward", out=spectrum)
+            out[:] = head
 
         return stage, product
     buf = np.zeros(3 * k_max + 1, dtype=np.complex128)
@@ -153,9 +163,9 @@ def _quadratic(k_max: int) -> tuple:
     toeplitz = np.lib.stride_tricks.sliding_window_view(buf, 2 * k_max + 1)
     reversed_full = buf[2 * k_max::-1]
 
-    def product() -> np.ndarray:
+    def product(out: np.ndarray) -> None:
         np.conjugate(tail, out=mirror)
-        return toeplitz @ reversed_full
+        np.matmul(toeplitz, reversed_full, out=out)
 
     return stage, product
 
@@ -203,24 +213,40 @@ def _etdrk4_stepper(dt: float, modes: np.ndarray) -> tuple:
     w = sqrt(n) h of v on the sublattice modes, wdot = i n^3 w + 3 i n P(w):
     the step is w -> rotation * w + increment(w), rotation = e^{i n^3 dt} the
     exact free flow.  increment steps through its own stage buffer
-    (_quadratic): a stage is one product, no weight multiply."""
+    (_quadratic), a stage is one product and no weight multiply, and every
+    stage writes into the run's own arrays: increment(w) returns the run's
+    accumulator, overwritten by the next call, and allocates nothing."""
     e_full, e_half, q, f1, f2, f3 = _etd_coeffs(dt, modes)
     stage, product = _quadratic(modes.size - 1)
+    ew, ea, pw, pa, pb, pc, acc = np.empty((7, modes.size), dtype=np.complex128)
 
+    # each ufunc keeps the operands in the order of the plain expression:
+    # NumPy's complex multiply does not commute bit for bit
     def increment(w: np.ndarray) -> np.ndarray:
-        ew = e_half * w
+        np.multiply(e_half, w, out=ew)
         stage[:] = w
-        pw = product()
+        product(pw)
         np.multiply(q, pw, out=stage)
         np.add(stage, ew, out=stage)
-        ea = e_half * stage
-        pa = product()
+        np.multiply(e_half, stage, out=ea)
+        product(pa)
         np.multiply(q, pa, out=stage)
         np.add(stage, ew, out=stage)
-        pb = product()
-        np.multiply(q, 2.0 * pb - pw, out=stage)
+        product(pb)
+        # q * (2 pb - pw) + ea
+        np.multiply(2.0, pb, out=pc)
+        np.subtract(pc, pw, out=pc)
+        np.multiply(q, pc, out=stage)
         np.add(stage, ea, out=stage)
-        return f1 * pw + f2 * (pa + pb) + f3 * product()
+        product(pc)
+        # (f1 pw + f2 (pa + pb)) + f3 pc
+        np.multiply(f1, pw, out=acc)
+        np.add(pa, pb, out=pa)
+        np.multiply(f2, pa, out=pa)
+        np.add(acc, pa, out=acc)
+        np.multiply(f3, pc, out=pc)
+        np.add(acc, pc, out=acc)
+        return acc
 
     return e_full, increment
 
@@ -238,11 +264,14 @@ def kdv_step(u: SpectralSequence, dt: float) -> SpectralSequence:
     The free rotation acts on h itself and only the O(dt) increment passes
     through w: scan_error_term divides the difference of a +dt and a -dt
     step by 2 dt, so the O(1) part of the step takes one rounding, not the
-    three of the round trip h -> w -> h.  A non-finite step raises
+    three of the round trip h -> w -> h.  A dt that is not a finite real
+    number raises ValueError; a non-finite step raises
     SolverDivergenceError, as in evolve.
     """
     if not u.real_type:
         raise ValueError("kdv_step requires a real_type state")
+    if not _is_finite_number(dt):
+        raise ValueError(f"dt must be a finite number, got {dt!r}")
     n_max = u.lattice.n_max
     h = u.values[n_max:]
     modes = _sublattice(h)
@@ -328,9 +357,16 @@ def evolve(u0: SpectralSequence, cfg: SolverConfig):
     modes = _sublattice(h)
     root = np.sqrt(modes)
     rotation, increment = _etdrk4_stepper(dt, modes)
+
+    def advance(w: np.ndarray, t0: float) -> np.ndarray:
+        # the state is the run's own array: rotation * w + increment(w), in place
+        step = increment(w)
+        np.multiply(rotation, w, out=w)
+        np.add(w, step, out=w)
+        return w
+
     return _time_loop(u0, modes, root * h[modes], steps, dt, cfg.record_every,
-                      lambda w, t0: rotation * w + increment(w),
-                      lambda w, t: _half_of(w, root))
+                      advance, lambda w, t: _half_of(w, root))
 
 
 class _Trajectory(Sequence):

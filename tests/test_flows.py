@@ -36,6 +36,13 @@ class TestFlowBasics:
         with pytest.raises(TypeError):  # unknown fields are rejected
             FlowConfig(order=2)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, True, "1.0", None])
+    def test_rejects_bad_tau(self, tau):
+        # NaN used to end in FlowDivergenceError, inf in a RuntimeWarning and
+        # True to flow for time 1
+        with pytest.raises(ValueError, match="tau must be a finite number"):
+            flow(F1, class_data(), tau)
+
     def test_zero_time_is_identity(self):
         q = class_data()
         w = flow(F1, q, 0.0)

@@ -3,7 +3,9 @@
 The sublattice stepper, which steps the coefficients w = sqrt(n) h of v, is
 checked against the full-lattice ETDRK4 step of h it replaced, whose N(u) is
 nonlinear_term (the exact np.convolve product), on both branches of its
-product P(w), and against the KdV scaling symmetry.
+product P(w), and against the KdV scaling symmetry.  Its stages, which write
+into per-run buffers, are checked byte for byte against the same algebra
+written with plain binary operators (binary_op_stepper).
 Its sublattice is checked against the set-based fixed point of the sum-closure
 (set_closure).
 The envelope stepper is checked against the per-third-mode loop it replaced,
@@ -25,9 +27,9 @@ from hypothesis import strategies as st
 from kdvlab.data import DataSpec, Family, make_data
 from kdvlab.hamiltonians import H3, LAMBDA2, eval_hamiltonian, gradient
 from kdvlab.solver import (_FFT_CROSSOVER, SolverConfig, SolverDivergenceError,
-                           _diagnostics_kernel, _EnvelopeStepper, _etdrk4_stepper,
-                           _half_diagnostics, _half_of, _osc_integral, _phi123,
-                           _quadratic, _sublattice,
+                           _diagnostics_kernel, _EnvelopeStepper, _etd_coeffs,
+                           _etdrk4_stepper, _half_diagnostics, _half_of, _osc_integral,
+                           _phi123, _quadratic, _sublattice,
                            diagnostics_of, envelope_evolve, evolve, kdv_step,
                            nonlinear_term, soliton_mean, soliton_reference,
                            stability_budget)
@@ -73,6 +75,37 @@ def full_etdrk4_step(u, dt):
     c = e_half * a + q * (2.0 * nb - nu)
     nc = nl(c)
     return np.exp(z) * v + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
+
+
+def binary_op_stepper(dt, modes):
+    """(rotation, increment) of the sublattice ETDRK4 step written with plain
+    binary operators, a fresh array at every operation: the operation order
+    the buffered stepper keeps.  P(w) is a Toeplitz matmul of a freshly built
+    zero-padded buffer below the crossover and rfft(irfft(w)^2) from it on."""
+    e_full, e_half, q, f1, f2, f3 = _etd_coeffs(dt, modes)
+    k_max = modes.size - 1
+    size = _fft_size(k_max)
+
+    def product(w):
+        if k_max >= _FFT_CROSSOVER:
+            g = _fft().irfft(w, size, norm="forward")
+            return _fft().rfft(g * g, norm="forward")[:k_max + 1]
+        buf = np.concatenate((w[:0:-1].conj(), w, np.zeros(k_max)))
+        toeplitz = np.lib.stride_tricks.sliding_window_view(buf, 2 * k_max + 1)
+        return toeplitz @ buf[2 * k_max::-1]
+
+    def increment(w):
+        ew = e_half * w
+        pw = product(w)
+        a = q * pw + ew
+        ea = e_half * a
+        pa = product(a)
+        b = q * pa + ew
+        pb = product(b)
+        c = q * (2.0 * pb - pw) + ea
+        return f1 * pw + f2 * (pa + pb) + f3 * product(c)
+
+    return e_full, increment
 
 
 def off_closure(u):
@@ -239,8 +272,10 @@ class TestHalfSpectrum:
         root = np.sqrt(modes)
         stage, product = _quadratic(modes.size - 1)
         stage[:] = root * h[modes]
+        p = np.empty(modes.size, dtype=np.complex128)
+        product(p)
         got = np.zeros(n_max + 1, dtype=np.complex128)
-        got[modes] = 3j * root * product()
+        got[modes] = 3j * root * p
         expected = nonlinear_term(u).values[n_max:]
         # N vanishes identically only when every pair sum leaves the lattice;
         # the FFT then leaves round-off on the closure, measured against the
@@ -346,6 +381,14 @@ class TestHalfSpectrum:
                              real_type=False)
         with pytest.raises(ValueError):
             kdv_step(u, 1e-3)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, True, "0.1", None])
+    def test_kdv_step_rejects_bad_dt(self, dt):
+        # NaN and inf used to step into SolverDivergenceError, True to step
+        # with dt = 1 and a string to fail inside NumPy
+        u = sequence_from_modes(LAT, {1: 0.1, -1: 0.1})
+        with pytest.raises(ValueError, match="dt must be a finite number"):
+            kdv_step(u, dt)
 
     def test_kdv_step_raises_on_non_finite_step(self):
         # a pair at 1e150 overflows in one step; the step used to come back
@@ -655,6 +698,59 @@ class TestRecords:
         assert built == [u]
         list(traj)
         assert len(built) == 257
+
+
+class TestBufferedStep:
+    """evolve and kdv_step, whose stages write into per-run buffers, give the
+    bytes of binary_op_stepper's fresh-array algebra."""
+
+    @staticmethod
+    def dense_state(n_max):
+        lat = ModeLattice(n_max, 3 * n_max + 1)
+        return random_real_sequence(lat, np.random.default_rng(n_max + 7))
+
+    @pytest.mark.parametrize("n_max", [32, 80, 512])  # Toeplitz, FFT, FFT
+    def test_evolve_matches_binary_op_oracle(self, n_max):
+        u0 = self.dense_state(n_max)
+        steps, t_final = 30, 30 * 1e-5
+        traj, diags = evolve(u0, SolverConfig(dt=1e-5, t_final=t_final,
+                                              lattice=u0.lattice, record_every=10))
+        modes = _sublattice(u0.values[n_max:])
+        assert modes.size - 1 == n_max
+        root = np.sqrt(modes)
+        rotation, increment = binary_op_stepper(t_final / steps, modes)
+        times, states, values = eager_run(
+            u0, modes, root * u0.values[n_max + modes], steps, t_final / steps, 10,
+            lambda w, t0: rotation * w + increment(w), lambda w, t: _half_of(w, root))
+        assert [t for t, _ in traj] == times
+        for (_, u), ref in zip(traj, states, strict=True):
+            assert u.values.tobytes() == ref.values.tobytes()
+        assert list(zip(diags.K, diags.H, diags.h1_weighted)) == values
+
+    @pytest.mark.parametrize("n_max", [32, 80, 512])
+    @pytest.mark.parametrize("dt", [1e-5, -1e-5])
+    def test_kdv_step_matches_binary_op_oracle(self, n_max, dt):
+        u0 = self.dense_state(n_max)
+        h = u0.values[n_max:]
+        modes = _sublattice(h)
+        root = np.sqrt(modes)
+        rotation, increment = binary_op_stepper(dt, modes)
+        w = root * h[modes]
+        assert _etdrk4_stepper(dt, modes)[1](w).tobytes() == increment(w).tobytes()
+        expected = rotation * h[modes] + _half_of(increment(w), root)
+        got = kdv_step(u0, dt).values
+        assert got.tobytes() == _full_lattice(expected, modes, n_max).tobytes()
+
+    def test_increment_reuses_its_buffer(self):
+        # increment returns the run's accumulator: the next call overwrites it
+        modes = np.arange(33)
+        w = self.dense_state(32).values[32:] * np.sqrt(modes)
+        _, increment = _etdrk4_stepper(1e-5, modes)
+        first = increment(w)
+        kept = first.copy()
+        assert increment(2.0 * w) is first
+        assert first.tobytes() != kept.tobytes()
+        assert increment(w).tobytes() == kept.tobytes()
 
 
 class TestSoliton:

@@ -14,6 +14,10 @@ comments do not count.  The rules:
   and solver._quadratic, nested functions included) call none of _mirror,
   np.concatenate, np.convolve or _product: a stage is written into the run's
   own buffer and multiplied against a fixed Toeplitz view of it;
+- the nested functions of solver._etdrk4_stepper and solver._quadratic (the
+  stage algebra and the product) contain no binary operator: every per-step
+  array operation is a ufunc or transform with out= writing into a run
+  buffer, so a step allocates no array;
 - the solver's time loop (solver._time_loop and the _record it appends
   through) calls neither SpectralSequence nor _full_lattice, so a record
   stays O(K): the trajectory builds full-lattice states only when read;
@@ -108,6 +112,16 @@ def test_etdrk4_step_builds_no_full_state():
              and isinstance(node, ast.Call)
              and _dotted(node.func).split(".")[-1] in ("_mirror", "concatenate",
                                                        "convolve", "_product")]
+    assert sites == []
+
+
+def test_etdrk4_stages_write_into_buffers():
+    stepper = ("_etdrk4_stepper", "_quadratic")
+    nested = [(scope, node) for module, scope, node in _nodes()
+              if module == "solver" and scope.split(".")[0] in stepper and "." in scope]
+    assert {"_etdrk4_stepper.increment", "_quadratic.product"} <= {s for s, _ in nested}
+    sites = [(scope, type(node.op).__name__) for scope, node in nested
+             if isinstance(node, ast.BinOp)]
     assert sites == []
 
 
