@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid config (max_constants included, checked
-before any work) or an --output path that cannot be written, 3 acceptance
+Exit codes: 0 success, 2 invalid config (checked before any work, except a
+dt past the stability budget and a max_constants bound at an s the scan does
+not report) or an --output path that cannot be written, 3 acceptance
 residual exceeded, 4 solver divergence.
 """
 
@@ -12,13 +13,14 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .data import make_data
 from .experiments import (ScanReport, check_identities, config_from_dict,
                           scan_error_term, scan_linear_proximity,
                           scan_near_identity, slope_fit)
 from .flows import FlowDivergenceError
-from .solver import SolverConfig, SolverDivergenceError, evolve
+from .solver import SolverDivergenceError, evolve
 from .spectral import _is_finite_number
 
 EXIT_OK = 0
@@ -67,8 +69,15 @@ def _max_constants(doc: dict) -> dict:
 
 
 def _check_constants(report: ScanReport, limits: dict) -> int:
+    """EXIT_BAD_CONFIG if a limit names an s the report has no constant for,
+    else EXIT_RESIDUAL if a constant exceeds its limit."""
+    missing = [s for s in limits if s not in report.constants]
+    if missing:
+        print(f"invalid config: max_constants names s = {missing}, which the scan "
+              f"does not report (it reports {sorted(report.constants)})", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     for s, limit in limits.items():
-        if s in report.constants and report.constants[s] > limit:
+        if report.constants[s] > limit:
             print(
                 f"acceptance residual exceeded: C(s={s}) = "
                 f"{report.constants[s]:.6g} > {limit}",
@@ -117,10 +126,7 @@ def _cmd_simulate(args) -> int:
     try:
         doc = _load_config(args.config)
         cfg = config_from_dict(doc)
-        t_final = doc.get("t_final", doc["solver"].get("t_final", 1.0))
-        solver = SolverConfig(dt=cfg.solver.dt, t_final=t_final,
-                              lattice=cfg.data.lattice,
-                              record_every=cfg.solver.record_every)
+        solver = replace(cfg.solver, t_final=doc.get("t_final", cfg.solver.t_final))
         u0 = make_data(cfg.data)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -5,16 +5,17 @@ t = eps^{-beta}, and reports both log-log slopes and uniform-constant ratios
 against its target rate, most with a fixed exponent haircut (default 0.05).
 A scan is a per-epsilon measure function plus its target exponent p(s); the
 one driver _scan runs the measures, sorts the rows, fits the slopes and takes
-the constants C(s) = max deviation / eps^p(s) for all three.  Scans are
-deterministic per (config, seed) and independent of the worker count.
+the constants C(s) = max deviation / eps^p(s) for all three.  The epsilon
+points run serially in grid order, each at the dt the config gives (evolve
+raises ValueError past its stability budget), so a scan is deterministic per
+(config, seed) and cannot depend on the worker count.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .data import DataSpec, make_data
 from .flows import FlowConfig, near_identity_report, q_of_u
 from .hamiltonians import (F1, F2, H3, LAMBDA2, QUARTIC_RESONANT, eval_hamiltonian,
                            fd_gradient, gradient, poisson_bracket)
-from .solver import (SolverConfig, envelope_evolve, evolve, kdv_step,
-                     stability_budget)
+from .solver import SolverConfig, envelope_evolve, evolve, kdv_step
 from .spectral import (ModeLattice, SpectralSequence, _full_lattice, _is_finite_number,
                        _require_int, l2s_norm, linear_phase)
 
@@ -65,6 +65,10 @@ def slope_fit(points) -> SlopeFit:
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """One epsilon scan.  data must agree with rho, and solver with data's
+    lattice.  workers is validated (an int >= 1) but not used: the epsilon
+    points run serially in grid order, so the report cannot depend on it."""
+
     epsilon_grid: tuple
     rho: float
     horizon_exponent: float
@@ -79,6 +83,10 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         _require_int("workers", self.workers, 1)
+        if self.data.rho != self.rho:
+            raise ValueError(f"data.rho {self.data.rho!r} must equal rho {self.rho!r}")
+        if self.solver.lattice != self.data.lattice:
+            raise ValueError("solver.lattice must equal data.lattice")
         if not _is_finite_number(self.haircut):
             raise ValueError(f"haircut must be a finite number, got {self.haircut!r}")
         if self.integrator not in ("direct", "envelope"):
@@ -100,10 +108,19 @@ class ScanConfig:
         # every grid point yields valid data if both ends do: the largest
         # epsilon must be <= 0.25 and the smallest has the highest carrier
         for eps in (grid[0], grid[-1]):
-            _data_spec_for(self, eps)
+            replace(self.data, epsilon=eps)
+
+
+# the CLI's max_constants and t_final ride in the same document
+_CONFIG_KEYS = frozenset(f.name for f in fields(ScanConfig)) | {"max_constants", "t_final"}
 
 
 def config_from_dict(doc: dict) -> ScanConfig:
+    """ScanConfig of a JSON document; a top-level key outside _CONFIG_KEYS
+    is a ValueError."""
+    unknown = [key for key in doc if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
     lat = ModeLattice(**doc["data"]["lattice"])
     data_doc = dict(doc["data"])
     data_doc["lattice"] = lat
@@ -176,27 +193,6 @@ class ScanReport:
 # scan machinery
 # ---------------------------------------------------------------------------
 
-def _data_spec_for(cfg: ScanConfig, eps: float) -> DataSpec:
-    return replace(cfg.data, epsilon=eps, rho=cfg.rho)
-
-
-def _solver_for(cfg: ScanConfig, u0: SpectralSequence, t_final: float) -> SolverConfig:
-    # clamp dt to 0.45 of the stability budget, deterministically: a
-    # heuristic that does not bound the scheme (solver.stability_budget)
-    dt = min(cfg.solver.dt, 0.45 / max(stability_budget(u0, cfg.data.lattice), 1e-300))
-    return SolverConfig(dt=dt, t_final=t_final, lattice=cfg.data.lattice,
-                        record_every=cfg.solver.record_every)
-
-
-def _run_tasks(tasks, worker, n_workers: int) -> dict:
-    """Evaluate worker over tasks, possibly in parallel; keyed, order-free."""
-    if n_workers <= 1:
-        return {t: worker(t) for t in tasks}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = {t: pool.submit(worker, t) for t in tasks}
-        return {t: f.result() for t, f in futures.items()}
-
-
 def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanReport:
     """Run measure over the epsilon grid; fit and bound the deviation per s.
 
@@ -207,8 +203,7 @@ def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanR
     so slope_fit never rejects a scan's points, and the uniform constant is
     C(s) = max y / epsilon^exponent(s).
     """
-    results = _run_tasks(cfg.epsilon_grid, measure, cfg.workers)
-    points = [p for eps in cfg.epsilon_grid for p in results[eps]]
+    points = [p for eps in cfg.epsilon_grid for p in measure(eps)]
     s_order = dict.fromkeys(s for s, _, _ in points)
     points.sort(key=lambda p: (p[2][0], p[0]))
     report = ScanReport(kind=kind, columns=columns, rows=[row for _, _, row in points])
@@ -231,14 +226,14 @@ def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
     monitor = {}
 
     def measure(eps: float):
-        spec = _data_spec_for(cfg, eps)
+        spec = replace(cfg.data, epsilon=eps)
         u0 = make_data(spec)
         eps_eff = spec.effective_epsilon
         t_end = eps_eff ** (-cfg.horizon_exponent)
         if cfg.integrator == "envelope":
             trajectory, diags = envelope_evolve(u0, t_end, steps=cfg.envelope_steps)
         else:
-            trajectory, diags = evolve(u0, _solver_for(cfg, u0, t_end))
+            trajectory, diags = evolve(u0, replace(cfg.solver, t_final=t_end))
         t, u_t = trajectory[-1]
         free = linear_phase(u0, t)
         diff = SpectralSequence(u0.lattice, u_t.values - free.values, real_type=False)
@@ -264,7 +259,7 @@ def scan_near_identity(cfg: ScanConfig) -> ScanReport:
     against the rate eps^{1 - s - haircut}."""
 
     def measure(eps: float):
-        spec = _data_spec_for(cfg, eps)
+        spec = replace(cfg.data, epsilon=eps)
         q = make_data(spec)
         eps_eff = spec.effective_epsilon
         rep = near_identity_report(q, eps_eff, cfg.rho, cfg.flow)
@@ -295,12 +290,12 @@ def scan_error_term(cfg: ScanConfig) -> ScanReport:
     """
 
     def measure(eps: float):
-        spec = _data_spec_for(cfg, eps)
+        spec = replace(cfg.data, epsilon=eps)
         u0 = make_data(spec)
         eps_eff = spec.effective_epsilon
         lat = cfg.data.lattice
         t_end = eps_eff ** (-cfg.horizon_exponent)
-        trajectory, _ = evolve(u0, _solver_for(cfg, u0, t_end))
+        trajectory, _ = evolve(u0, replace(cfg.solver, t_final=t_end))
         _, u_t = trajectory[-1]
         n3 = lat.modes.astype(np.float64) ** 3
         dt_fd = 0.1 / (2.0 * spec.carrier) ** 3

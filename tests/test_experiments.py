@@ -84,6 +84,15 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             small_config(envelope_steps=0)
 
+    def test_rejects_contradictory_fields(self):
+        # a scan used to run at rho and drop data.rho, and on data's lattice
+        with pytest.raises(ValueError, match="data.rho 3.0 must equal rho 1.0"):
+            small_config(data=DataSpec(family=Family.SINGLE_PAIR, epsilon=0.25,
+                                       rho=3.0, lattice=LAT))
+        with pytest.raises(ValueError, match="solver.lattice must equal data.lattice"):
+            small_config(solver=SolverConfig(dt=1e-3, t_final=1.0,
+                                             lattice=ModeLattice(64, 193)))
+
     def test_config_from_dict(self):
         cfg = config_from_dict(config_doc())
         assert cfg.epsilon_grid == GRID
@@ -142,6 +151,13 @@ class TestScans:
         serial = scan_linear_proximity(small_config(workers=1))
         threaded = scan_linear_proximity(small_config(workers=3))
         assert serial.to_csv().encode() == threaded.to_csv().encode()
+
+    @pytest.mark.parametrize("scan", [scan_linear_proximity, scan_error_term])
+    def test_dt_past_budget_raises(self, scan):
+        # the scans used to clamp dt to 0.45 of the budget without saying so
+        cfg = small_config(solver=SolverConfig(dt=0.5, t_final=1.0, lattice=LAT))
+        with pytest.raises(ValueError, match="stability budget violated"):
+            scan(cfg)
 
     def test_envelope_integrator_path(self):
         rep = scan_linear_proximity(small_config(integrator="envelope",
@@ -208,6 +224,38 @@ class TestCli:
         out = tmp_path / "r.csv"
         assert main(["scan-theorem", "--config", cfg, "--output", str(out)]) == 3
 
+    @pytest.mark.parametrize("limits", [{"1.0": 1e-12}, {"0.5": 1e3, "1.0": 1e3}],
+                             ids=["tight", "loose"])
+    def test_max_constants_at_unreported_s_exit_code(self, tmp_path, capsys, limits):
+        # a bound at an s the scan does not report used to pass silently
+        cfg = self._write_config(tmp_path, config_doc(max_constants=limits))
+        assert main(["scan-theorem", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config: max_constants names s = [1.0]" in err
+
+    @pytest.mark.parametrize("command", ["scan-theorem", "simulate"])
+    @pytest.mark.parametrize("key, value", [("integrater", "envelope"),
+                                            ("envelope_step", 7), ("max_constant", 0.6)])
+    def test_unknown_key_exit_code(self, tmp_path, capsys, command, key, value):
+        # a misspelt key used to be ignored: the scan ran on the defaults
+        doc = config_doc(**{key: value})
+        doc["solver"]["t_final"] = 0.01
+        cfg = self._write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert f"invalid config: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("command", ["scan-theorem", "simulate"])
+    def test_contradictory_rho_exit_code(self, tmp_path, capsys, command):
+        # the scan used to run at the top-level default rho 1.0, simulate at 3.0
+        doc = config_doc()
+        del doc["rho"]
+        doc["data"]["rho"] = 3.0
+        cfg = self._write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 2
+        assert "invalid config: data.rho 3.0 must equal rho 1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("limits", [
         [0.5], 0.6, {"x": 0.6}, {"0.5": "big"}, {"0.5": None}, {"0.5": True},
         {"0.5": math.nan}, {"nan": 0.6},
@@ -250,6 +298,14 @@ class TestCli:
         doc["solver"]["dt"] = 0.5
         cfg = self._write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 2
+        assert "stability budget violated" in capsys.readouterr().err
+
+    def test_scan_unstable_dt_exit_code(self, tmp_path, capsys):
+        # used to clamp dt to ~0.015 and exit 0
+        doc = config_doc()
+        doc["solver"]["dt"] = 0.5
+        cfg = self._write_config(tmp_path, doc)
+        assert main(["scan-theorem", "--config", cfg]) == 2
         assert "stability budget violated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_final", [-1, "x"])

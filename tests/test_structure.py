@@ -28,7 +28,10 @@ comments do not count.  The rules:
 - the one function of hamiltonians that hamiltonians.eval_hamiltonian calls
   is _gradient_values, and hamiltonians reaches neither spectral._fft nor
   spectral._fft_size: a value is Euler's identity on the gradient kernel,
-  with no second value path beside it.
+  with no second value path beside it;
+- nothing imports concurrent, and only solver calls stability_budget: a scan
+  runs its epsilon points serially at the configured dt, and evolve alone
+  applies the stability heuristic.
 """
 
 import ast
@@ -162,3 +165,16 @@ def test_values_come_from_the_gradient_kernel():
              or (isinstance(node, ast.Attribute) and node.attr in fft_names)
              or (isinstance(node, ast.alias) and node.name in fft_names)]
     assert sites == []
+
+
+def test_scans_run_serially_at_the_configured_dt():
+    pools = [(module, scope) for module, scope, node in _nodes()
+             if (isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "concurrent" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "concurrent")]
+    assert pools == []
+    budget = {module for module, scope, node in _nodes()
+              if isinstance(node, ast.Call)
+              and _dotted(node.func).split(".")[-1] == "stability_budget"}
+    assert budget == {"solver"}
