@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .data import make_data
 from .experiments import (ScanReport, check_identities, config_from_dict,
@@ -124,15 +123,13 @@ def _cmd_check_identities(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        doc = _load_config(args.config)
-        cfg = config_from_dict(doc)
-        solver = replace(cfg.solver, t_final=doc.get("t_final", cfg.solver.t_final))
+        cfg = config_from_dict(_load_config(args.config))
         u0 = make_data(cfg.data)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        _, diags = evolve(u0, solver)
+        _, diags = evolve(u0, cfg.solver)
     except ValueError as exc:  # a dt that breaks the stability budget
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

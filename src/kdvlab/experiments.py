@@ -4,11 +4,12 @@ Each scan walks a decreasing epsilon grid, measures a deviation at the horizon
 t = eps^{-beta}, and reports both log-log slopes and uniform-constant ratios
 against its target rate, most with a fixed exponent haircut (default 0.05).
 A scan is a per-epsilon measure function plus its target exponent p(s); the
-one driver _scan runs the measures, sorts the rows, fits the slopes and takes
-the constants C(s) = max deviation / eps^p(s) for all three.  The epsilon
-points run serially in grid order, each at the dt the config gives (evolve
-raises ValueError past its stability budget), so a scan is deterministic per
-(config, seed) and cannot depend on the worker count.
+one driver _scan makes the data at each grid epsilon, runs the measure, sorts
+the rows, fits the slopes and takes the constants C(s) = max deviation /
+eps^p(s).  The scans that evolve reach the horizon through _at_horizon, with
+the config's integrator.  Grid points run serially at the configured dt
+(evolve raises ValueError past its stability budget), so a scan is
+deterministic per config.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def slope_fit(points) -> SlopeFit:
 @dataclass(frozen=True)
 class ScanConfig:
     """One epsilon scan.  data must agree with rho, and solver with data's
-    lattice.  workers is validated (an int >= 1) but not used: the epsilon
-    points run serially in grid order, so the report cannot depend on it."""
+    lattice.  The scans replace data.epsilon by each grid point and, where
+    they evolve, solver.t_final by each horizon."""
 
     epsilon_grid: tuple
     rho: float
@@ -76,13 +77,11 @@ class ScanConfig:
     data: DataSpec
     solver: SolverConfig
     flow: FlowConfig = FlowConfig()
-    workers: int = 1
     haircut: float = 0.05
     integrator: str = "direct"
     envelope_steps: int = 64
 
     def __post_init__(self) -> None:
-        _require_int("workers", self.workers, 1)
         if self.data.rho != self.rho:
             raise ValueError(f"data.rho {self.data.rho!r} must equal rho {self.rho!r}")
         if self.solver.lattice != self.data.lattice:
@@ -111,39 +110,37 @@ class ScanConfig:
             replace(self.data, epsilon=eps)
 
 
-# the CLI's max_constants and t_final ride in the same document
-_CONFIG_KEYS = frozenset(f.name for f in fields(ScanConfig)) | {"max_constants", "t_final"}
+# the CLI's max_constants rides in the same document
+_CONFIG_KEYS = frozenset(f.name for f in fields(ScanConfig)) | {"max_constants"}
 
 
 def config_from_dict(doc: dict) -> ScanConfig:
-    """ScanConfig of a JSON document; a top-level key outside _CONFIG_KEYS
-    is a ValueError."""
+    """ScanConfig of a JSON document; a top-level key outside _CONFIG_KEYS,
+    or a solver.lattice (the solver runs on data.lattice), is a ValueError.
+    data.epsilon defaults to the first grid point: simulate reads it, the
+    scans replace it with each grid point."""
     unknown = [key for key in doc if key not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+    rho = doc.get("rho", 1.0)
     lat = ModeLattice(**doc["data"]["lattice"])
-    data_doc = dict(doc["data"])
-    data_doc["lattice"] = lat
-    data_doc.setdefault("epsilon", doc["epsilon_grid"][0])
-    data_doc.setdefault("rho", doc.get("rho", 1.0))
-    data = DataSpec(**data_doc)
-    solver_doc = dict(doc["solver"])
-    solver_doc.setdefault("t_final", 1.0)
-    solver_doc["lattice"] = lat
-    solver = SolverConfig(**solver_doc)
-    flow_cfg = FlowConfig(**doc.get("flow", {}))
+    data = DataSpec(**{"epsilon": doc["epsilon_grid"][0], "rho": rho, **doc["data"],
+                       "lattice": lat})
+    solver_doc = {"t_final": 1.0, **doc["solver"]}
+    if "lattice" in solver_doc:
+        raise ValueError("solver.lattice is not a config key: the solver runs on data.lattice")
+    solver = SolverConfig(**solver_doc, lattice=lat)
+    optional = {k: doc[k] for k in ("haircut", "integrator", "envelope_steps") if k in doc}
+    if "flow" in doc:
+        optional["flow"] = FlowConfig(**doc["flow"])
     return ScanConfig(
         epsilon_grid=tuple(doc["epsilon_grid"]),
-        rho=doc.get("rho", 1.0),
+        rho=rho,
         horizon_exponent=doc.get("horizon_exponent", 0.25),
         s_values=tuple(doc.get("s_values", (0.0, 0.5))),
         data=data,
         solver=solver,
-        flow=flow_cfg,
-        workers=doc.get("workers", 1),
-        haircut=doc.get("haircut", 0.05),
-        integrator=doc.get("integrator", "direct"),
-        envelope_steps=doc.get("envelope_steps", 64),
+        **optional,
     )
 
 
@@ -196,14 +193,16 @@ class ScanReport:
 def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanReport:
     """Run measure over the epsilon grid; fit and bound the deviation per s.
 
-    measure(eps) returns a list of points (s, y, row): row is a report row,
-    whose first entry is the effective epsilon, and y the deviation it fits.
-    Rows are sorted by (epsilon, s).  For each s, in the order measure first
-    returns it, the log-log slope is fitted on the finite points with y > 0,
-    so slope_fit never rejects a scan's points, and the uniform constant is
+    measure(spec, u0) gets cfg.data at one grid epsilon and its data, and
+    returns a list of points (s, y, row): row is a report row, whose first
+    entry is the effective epsilon, and y the deviation it fits.  Rows are
+    sorted by (epsilon, s).  For each s, in the order measure first returns
+    it, the log-log slope is fitted on the finite points with y > 0, so
+    slope_fit never rejects a scan's points, and the uniform constant is
     C(s) = max y / epsilon^exponent(s).
     """
-    points = [p for eps in cfg.epsilon_grid for p in measure(eps)]
+    specs = [replace(cfg.data, epsilon=eps) for eps in cfg.epsilon_grid]
+    points = [p for spec in specs for p in measure(spec, make_data(spec))]
     s_order = dict.fromkeys(s for s, _, _ in points)
     points.sort(key=lambda p: (p[2][0], p[0]))
     report = ScanReport(kind=kind, columns=columns, rows=[row for _, _, row in points])
@@ -216,6 +215,17 @@ def _scan(cfg: ScanConfig, kind: str, columns: list, measure, exponent) -> ScanR
     return report
 
 
+def _at_horizon(cfg: ScanConfig, spec: DataSpec, u0: SpectralSequence):
+    """(t, u(t), diagnostics) at t = eps_eff^{-beta}: envelope_evolve if the
+    integrator is "envelope", else evolve with the config's solver."""
+    t_end = spec.effective_epsilon ** (-cfg.horizon_exponent)
+    if cfg.integrator == "envelope":
+        trajectory, diags = envelope_evolve(u0, t_end, steps=cfg.envelope_steps)
+    else:
+        trajectory, diags = evolve(u0, replace(cfg.solver, t_final=t_end))
+    return (*trajectory[-1], diags)
+
+
 def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
     """Deviation from the free Airy flow at t = eps^{-beta} per (eps, s).
 
@@ -225,20 +235,13 @@ def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
     """
     monitor = {}
 
-    def measure(eps: float):
-        spec = replace(cfg.data, epsilon=eps)
-        u0 = make_data(spec)
+    def measure(spec: DataSpec, u0: SpectralSequence):
         eps_eff = spec.effective_epsilon
-        t_end = eps_eff ** (-cfg.horizon_exponent)
-        if cfg.integrator == "envelope":
-            trajectory, diags = envelope_evolve(u0, t_end, steps=cfg.envelope_steps)
-        else:
-            trajectory, diags = evolve(u0, replace(cfg.solver, t_final=t_end))
-        t, u_t = trajectory[-1]
+        t, u_t, diags = _at_horizon(cfg, spec, u0)
         free = linear_phase(u0, t)
         diff = SpectralSequence(u0.lattice, u_t.values - free.values, real_type=False)
         devs = {s: l2s_norm(diff, s) for s in set(cfg.s_values) | {0.5}}
-        monitor[eps] = eps_eff, max(h * eps_eff / cfg.rho for h in diags.h1_weighted)
+        monitor[eps_eff] = max(h * eps_eff / cfg.rho for h in diags.h1_weighted)
         bracket = math.sqrt(1.0 + t * t)
         return [(s, devs[s] / bracket,
                  (eps_eff, t, s, devs[s], bracket, SQRT_TWO_PI * devs[0.5]))
@@ -248,22 +251,20 @@ def scan_linear_proximity(cfg: ScanConfig) -> ScanReport:
                    ["epsilon", "t", "s", "deviation", "bracket_t", "v_deviation"],
                    measure, lambda s: 0.5 - cfg.haircut)
     report.extras = {
-        "h32_monitor_max_ratio": dict(monitor[eps] for eps in cfg.epsilon_grid),
+        "h32_monitor_max_ratio": monitor,
         "horizon_exponent": cfg.horizon_exponent,
     }
     return report
 
 
 def scan_near_identity(cfg: ScanConfig) -> ScanReport:
-    """Near-identity deviation of the composed transformation per (eps, s),
-    against the rate eps^{1 - s - haircut}."""
+    """Near-identity deviation of the composed transformation per (eps, s)
+    for s in s_values, against the rate eps^{1 - s - haircut}.  Nothing is
+    evolved: solver, integrator and horizon_exponent are not read."""
 
-    def measure(eps: float):
-        spec = replace(cfg.data, epsilon=eps)
-        q = make_data(spec)
-        eps_eff = spec.effective_epsilon
-        rep = near_identity_report(q, eps_eff, cfg.rho, cfg.flow)
-        return [(s, dev, (eps_eff, s, dev, rep.membership_after))
+    def measure(spec: DataSpec, q: SpectralSequence):
+        rep = near_identity_report(q, spec.effective_epsilon, cfg.rho, cfg.flow, cfg.s_values)
+        return [(s, dev, (spec.effective_epsilon, s, dev, rep.membership_after))
                 for s, dev in sorted(rep.deviations.items())]
 
     return _scan(cfg, "near_identity", ["epsilon", "s", "deviation", "membership_after"],
@@ -273,9 +274,9 @@ def scan_near_identity(cfg: ScanConfig) -> ScanReport:
 def scan_error_term(cfg: ScanConfig) -> ScanReport:
     """Norm of the residual field E(q) = qdot - i n^3 q at the horizon time.
 
-    q(t) = q_of_u(u(t)); the derivative is taken by a phase-exact central
-    difference (the integrating factor removes the linear rotation from the
-    difference quotient).  The probe step satisfies dt_fd * (2 N0)^3 = 0.1 for
+    q(t) = q_of_u(u(t)), u(t) from _at_horizon; the derivative is taken by a
+    phase-exact central difference (the integrating factor removes the linear
+    rotation from the difference quotient).  The probe step satisfies dt_fd * (2 N0)^3 = 0.1 for
     carrier N0: the residual field is carried by modes up to about twice the
     carrier, and this window stays below the higher-order regime.  It does
     not keep the h^2 truncation above the round-off floor on every row: the
@@ -289,14 +290,10 @@ def scan_error_term(cfg: ScanConfig) -> ScanReport:
     is eps^{0.9 (1 - s)}: 0.9 at s = 0, 0.45 at s = 1/2.
     """
 
-    def measure(eps: float):
-        spec = replace(cfg.data, epsilon=eps)
-        u0 = make_data(spec)
+    def measure(spec: DataSpec, u0: SpectralSequence):
         eps_eff = spec.effective_epsilon
         lat = cfg.data.lattice
-        t_end = eps_eff ** (-cfg.horizon_exponent)
-        trajectory, _ = evolve(u0, replace(cfg.solver, t_final=t_end))
-        _, u_t = trajectory[-1]
+        _, u_t, _ = _at_horizon(cfg, spec, u0)
         n3 = lat.modes.astype(np.float64) ** 3
         dt_fd = 0.1 / (2.0 * spec.carrier) ** 3
 

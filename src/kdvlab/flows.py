@@ -81,11 +81,12 @@ def q_of_u(u: SpectralSequence, cfg: FlowConfig = FlowConfig()) -> SpectralSeque
 
 
 def near_identity_report(q: SpectralSequence, epsilon: float, rho: float,
-                         cfg: FlowConfig = FlowConfig()) -> TransformReport:
+                         cfg: FlowConfig = FlowConfig(),
+                         s_values=(0.0, 0.5, 1.0, 1.5)) -> TransformReport:
     """Deviation of the composed transformation from the identity on class data.
 
-    Rejects q outside X_eps^rho; reports ||u(q) - q||_{l^2_s} for
-    s in {0, 1/2, 1, 3/2} and whether u(q) stays in X_eps^{2 rho}.
+    Rejects q outside X_eps^rho; reports ||u(q) - q||_{l^2_s} for s in
+    s_values and whether u(q) stays in X_eps^{2 rho}.
     """
     member = data_mod.membership(q, epsilon, rho)
     if not member.in_class:
@@ -95,7 +96,7 @@ def near_identity_report(q: SpectralSequence, epsilon: float, rho: float,
         )
     u = u_of_q(q, cfg)
     diff = SpectralSequence(q.lattice, u.values - q.values, real_type=False)
-    deviations = {s: l2s_norm(diff, s) for s in (0.0, 0.5, 1.0, 1.5)}
+    deviations = {s: l2s_norm(diff, s) for s in s_values}
     after = data_mod.membership(u, epsilon, 2.0 * rho).in_class
     return TransformReport(epsilon=epsilon, deviations=deviations, membership_after=after)
 

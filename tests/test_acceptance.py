@@ -176,14 +176,13 @@ def test_ac6_main_theorem_scan():
 
 
 def test_ac7_reproducibility():
-    def run(workers):
+    def run():
         cfg = _scan_config((0.04, 0.02, 0.01, 0.005), LAT512, (0.0, 0.5),
-                           integrator="envelope", envelope_steps=256,
-                           workers=workers)
+                           integrator="envelope", envelope_steps=256)
         return scan_linear_proximity(cfg).to_csv().encode()
 
-    serial, threaded = run(1), run(3)
-    ok = serial == threaded
+    first, second = run(), run()
+    ok = first == second
     _report("AC7 reproducibility", ok,
-            f"csv bytes {'identical' if ok else 'differ'} across worker counts "
-            f"({len(serial)} bytes)")
+            f"csv bytes {'identical' if ok else 'differ'} across two runs "
+            f"({len(first)} bytes)")

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from kdvlab import experiments
 from kdvlab.cli import main
 from kdvlab.data import DataSpec, Family
 from kdvlab.experiments import (ScanConfig, ScanReport, check_identities,
                                 config_from_dict, scan_error_term,
                                 scan_linear_proximity, scan_near_identity,
                                 slope_fit)
-from kdvlab.solver import SolverConfig
+from kdvlab.flows import FlowConfig
+from kdvlab.solver import SolverConfig, envelope_evolve
 from kdvlab.spectral import ModeLattice
 
 LAT = ModeLattice(48, 145)
@@ -131,7 +133,8 @@ class TestScans:
         assert rep.columns == ["epsilon", "s", "deviation", "membership_after"]
         assert all(row[3] for row in rep.rows)  # stays in X_eps^{2 rho}
         assert all(row[2] >= 0.0 for row in rep.rows)
-        assert set(rep.constants) == {0.0, 0.5, 1.0, 1.5}
+        # the rows follow s_values; they used to be s in {0, 1/2, 1, 3/2}
+        assert {row[1] for row in rep.rows} == set(rep.constants) == {0.0, 0.5}
 
     def test_linear_proximity_scan(self):
         rep = scan_linear_proximity(small_config())
@@ -147,11 +150,6 @@ class TestScans:
                                            rel=1e-12)
         assert "h32_monitor_max_ratio" in rep.extras
 
-    def test_worker_count_invariance(self):
-        serial = scan_linear_proximity(small_config(workers=1))
-        threaded = scan_linear_proximity(small_config(workers=3))
-        assert serial.to_csv().encode() == threaded.to_csv().encode()
-
     @pytest.mark.parametrize("scan", [scan_linear_proximity, scan_error_term])
     def test_dt_past_budget_raises(self, scan):
         # the scans used to clamp dt to 0.45 of the budget without saying so
@@ -165,6 +163,25 @@ class TestScans:
         assert len(rep.rows) == len(GRID) * 2
         assert all(np.isfinite(row[3]) for row in rep.rows)
         assert 0.5 in rep.constants
+
+    def test_error_term_scan_honours_integrator(self, monkeypatch):
+        # scan_error_term used to run evolve whatever the integrator
+        calls = []
+
+        def spy(u0, t_final, steps):
+            calls.append(t_final)
+            return envelope_evolve(u0, t_final, steps=steps)
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve called with integrator 'envelope'")
+
+        monkeypatch.setattr(experiments, "envelope_evolve", spy)
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        rep = scan_error_term(small_config(integrator="envelope", envelope_steps=8,
+                                           flow=FlowConfig(substeps=8)))
+        assert calls == [(1 / round(1 / eps)) ** -0.25 for eps in GRID]
+        assert len(rep.rows) == len(GRID) * 2
+        assert all(row[2] > 0.0 for row in rep.rows)
 
     @pytest.mark.slow
     def test_error_term_scan(self):
@@ -233,11 +250,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid config: max_constants names s = [1.0]" in err
 
+    def test_transform_max_constants_at_unreported_s_exit_code(self, tmp_path, capsys):
+        # scan-transform used to report s = 1 whatever s_values asked
+        cfg = self._write_config(tmp_path, config_doc(max_constants={"1.0": 1e3}))
+        assert main(["scan-transform", "--config", cfg]) == 2
+        assert "max_constants names s = [1.0]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["scan-theorem", "simulate"])
     @pytest.mark.parametrize("key, value", [("integrater", "envelope"),
-                                            ("envelope_step", 7), ("max_constant", 0.6)])
+                                            ("envelope_step", 7), ("max_constant", 0.6),
+                                            ("workers", 2), ("t_final", 0.01)])
     def test_unknown_key_exit_code(self, tmp_path, capsys, command, key, value):
-        # a misspelt key used to be ignored: the scan ran on the defaults
+        # a misspelt key used to be ignored: the scan ran on the defaults.
+        # workers was read by no scan, and a top-level t_final spelt
+        # solver.t_final a second time
         doc = config_doc(**{key: value})
         doc["solver"]["t_final"] = 0.01
         cfg = self._write_config(tmp_path, doc)
@@ -310,20 +336,23 @@ class TestCli:
 
     @pytest.mark.parametrize("t_final", [-1, "x"])
     def test_simulate_bad_t_final_exit_code(self, tmp_path, capsys, t_final):
-        # -1 used to exit 0 after one CSV row, "x" to exit 1 with a TypeError
+        # simulate runs to solver.t_final, the one spelling of the run's end
         doc = config_doc()
-        doc["t_final"] = t_final
+        doc["solver"]["t_final"] = t_final
         cfg = self._write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 2
         assert "invalid config: t_final" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["2", 0, -3, 2.5, True])
-    def test_bad_workers_exit_code(self, tmp_path, capsys, workers):
-        # "2" used to exit 1 with a TypeError; 0, -3 and 2.5 ran silently
-        doc = config_doc(workers=workers)
+    @pytest.mark.parametrize("command", ["scan-theorem", "simulate"])
+    def test_solver_lattice_exit_code(self, tmp_path, capsys, command):
+        # used to be overwritten by data.lattice without a word
+        doc = config_doc()
+        doc["solver"]["lattice"] = {"n_max": 64, "m_samples": 193}
         cfg = self._write_config(tmp_path, doc)
-        assert main(["scan-theorem", "--config", cfg]) == 2
-        assert "invalid config: workers" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 2
+        assert "invalid config: solver.lattice" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, section, field, value", [
         ("scan-theorem", None, "envelope_steps", 2.5),

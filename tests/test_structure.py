@@ -31,7 +31,10 @@ comments do not count.  The rules:
   with no second value path beside it;
 - nothing imports concurrent, and only solver calls stability_budget: a scan
   runs its epsilon points serially at the configured dt, and evolve alone
-  applies the stability heuristic.
+  applies the stability heuristic;
+- in experiments, make_data is called only in _scan, and evolve and
+  envelope_evolve only in _at_horizon: one driver makes each grid point's
+  data, and one helper runs it to the horizon with the config's integrator.
 """
 
 import ast
@@ -178,3 +181,15 @@ def test_scans_run_serially_at_the_configured_dt():
               if isinstance(node, ast.Call)
               and _dotted(node.func).split(".")[-1] == "stability_budget"}
     assert budget == {"solver"}
+
+
+def test_one_scan_driver_and_one_horizon_run():
+    scopes = {scope for module, scope, _ in _nodes() if module == "experiments"}
+    assert {"_scan", "_at_horizon"} <= scopes
+    sites = sorted((_dotted(node.func), scope.split(".")[0])
+                   for module, scope, node in _nodes()
+                   if module == "experiments" and isinstance(node, ast.Call)
+                   and _dotted(node.func).split(".")[-1] in ("make_data", "evolve",
+                                                              "envelope_evolve"))
+    assert sites == [("envelope_evolve", "_at_horizon"), ("evolve", "_at_horizon"),
+                     ("make_data", "_scan")]
